@@ -17,19 +17,11 @@ Environment knobs (all optional):
 - ``REPRO_BENCH_TRACE``   directory for per-run telemetry: every trained
   seed writes a JSONL event trace and a ``.run.json`` manifest next to the
   benchmark's JSON results (see ``docs/observability.md``)
-- ``REPRO_BENCH_KERNELS`` workload preset for the kernel suite in
-  ``bench_kernels.py`` (default ``full``; ``quick`` for a fast sanity
-  pass — speedup thresholds are only asserted in ``full`` mode)
-- ``REPRO_BENCH_OPTIM``   workload preset for the optimizer suite in
-  ``bench_optim.py`` (default ``full``; same quick/full semantics as the
-  kernel suite)
-- ``REPRO_BENCH_DATA``    workload preset for the data-pipeline suite in
-  ``bench_data.py`` (default ``full``; same quick/full semantics — the
-  cache-hit and memory floors are only asserted in ``full`` mode)
-- ``REPRO_BENCH_OBS``     workload preset for the observability suite in
-  ``bench_obs.py`` (default ``full``; the ≤2% tracing-overhead budget is
-  only asserted in ``full`` mode)
-- ``REPRO_BENCH_CHECK``   when set to ``1``/``true``, every suite above
+- ``REPRO_BENCH_MODE``    workload preset for every engine suite in
+  ``bench_suites.py`` — kernels, optim, data, obs (default ``full``;
+  ``quick`` for a fast sanity pass — speedup floors, memory floors and
+  the ≤2% tracing-overhead budget are only asserted in ``full`` mode)
+- ``REPRO_BENCH_CHECK``   when set to ``1``/``true``, every engine suite
   additionally gates its fresh timings against the committed
   ``BENCH_<suite>.json`` baseline via :func:`repro.obs.check_records`
   (off by default; only meaningful in ``full`` mode — other modes skip
@@ -51,12 +43,6 @@ BENCH_BATCHES = int(os.environ.get("REPRO_BENCH_BATCHES", "12"))
 BENCH_REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "2"))
 BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE") or None
 BENCH_TRACE = os.environ.get("REPRO_BENCH_TRACE") or None
-BENCH_KERNELS_MODE = os.environ.get("REPRO_BENCH_KERNELS", "full")
-BENCH_OPTIM_MODE = os.environ.get("REPRO_BENCH_OPTIM", "full")
-BENCH_DATA_MODE = os.environ.get("REPRO_BENCH_DATA", "full")
-BENCH_OBS_MODE = os.environ.get("REPRO_BENCH_OBS", "full")
-BENCH_CHECK = os.environ.get("REPRO_BENCH_CHECK", "").lower() in (
-    "1", "true", "yes", "on")
 
 BENCH_CONFIG = TrainingConfig(epochs=BENCH_EPOCHS, batch_size=32,
                               max_batches_per_epoch=BENCH_BATCHES,
@@ -68,86 +54,3 @@ def matrix():
     return BenchmarkMatrix(scale=BENCH_SCALE, config=BENCH_CONFIG,
                            repeats=BENCH_REPEATS, cache_dir=BENCH_CACHE,
                            trace_dir=BENCH_TRACE)
-
-
-@pytest.fixture(scope="session")
-def kernel_bench_mode():
-    """Workload preset for the kernel suite (``REPRO_BENCH_KERNELS``)."""
-    from repro.nn.kernel_bench import BENCH_MODES
-
-    if BENCH_KERNELS_MODE not in BENCH_MODES:
-        raise ValueError(
-            f"REPRO_BENCH_KERNELS={BENCH_KERNELS_MODE!r} is not a known "
-            f"mode; expected one of {sorted(BENCH_MODES)}")
-    return BENCH_KERNELS_MODE
-
-
-@pytest.fixture(scope="session")
-def optim_bench_mode():
-    """Workload preset for the optimizer suite (``REPRO_BENCH_OPTIM``)."""
-    from repro.nn.optim_bench import OPTIM_BENCH_MODES
-
-    if BENCH_OPTIM_MODE not in OPTIM_BENCH_MODES:
-        raise ValueError(
-            f"REPRO_BENCH_OPTIM={BENCH_OPTIM_MODE!r} is not a known "
-            f"mode; expected one of {sorted(OPTIM_BENCH_MODES)}")
-    return BENCH_OPTIM_MODE
-
-
-@pytest.fixture(scope="session")
-def data_bench_mode():
-    """Workload preset for the data-pipeline suite (``REPRO_BENCH_DATA``)."""
-    from repro.datasets.data_bench import DATA_BENCH_MODES
-
-    if BENCH_DATA_MODE not in DATA_BENCH_MODES:
-        raise ValueError(
-            f"REPRO_BENCH_DATA={BENCH_DATA_MODE!r} is not a known "
-            f"mode; expected one of {sorted(DATA_BENCH_MODES)}")
-    return BENCH_DATA_MODE
-
-
-@pytest.fixture(scope="session")
-def obs_bench_mode():
-    """Workload preset for the observability suite (``REPRO_BENCH_OBS``)."""
-    from repro.obs.obs_bench import OBS_BENCH_MODES
-
-    if BENCH_OBS_MODE not in OBS_BENCH_MODES:
-        raise ValueError(
-            f"REPRO_BENCH_OBS={BENCH_OBS_MODE!r} is not a known "
-            f"mode; expected one of {sorted(OBS_BENCH_MODES)}")
-    return BENCH_OBS_MODE
-
-
-@pytest.fixture(scope="session")
-def bench_check():
-    """Gate fresh suite timings against the committed baseline.
-
-    Returns ``check(suite, timings, mode)``; when ``REPRO_BENCH_CHECK``
-    is on and ``BENCH_<suite>.json`` exists at the repo root, the fresh
-    timings are compared via :func:`repro.obs.check_records` and the
-    test fails on any regression (mode mismatches are reported as
-    skipped, never failed).  A no-op when the knob is off.
-    """
-    from pathlib import Path
-
-    from repro.nn.kernel_bench import timings_to_record
-    from repro.obs.gate import check_records, load_bench_record
-
-    root = Path(__file__).resolve().parent.parent
-
-    def check(suite, timings, mode):
-        if not BENCH_CHECK:
-            return None
-        baseline_path = root / f"BENCH_{suite}.json"
-        if not baseline_path.exists():
-            return None
-        current = timings_to_record(timings, mode, suite=suite)
-        report = check_records(current, load_bench_record(baseline_path))
-        print()
-        print(report.render())
-        assert report.passed, (
-            f"bench check failed against {baseline_path.name}: "
-            + "; ".join(f.detail or f.status for f in report.failures))
-        return report
-
-    return check

@@ -59,7 +59,7 @@ class _SupportConv(Module):
             (self.num_supports, in_channels, out_channels), rng))
         self.bias = Parameter(np.zeros(out_channels))
 
-    def forward(self, x: Tensor, extra_supports: list[Tensor] | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.shape[-2] != self.supports.shape[-1]:
             raise ValueError(
                 f"input has {x.shape[-2]} nodes, supports expect "
@@ -69,9 +69,6 @@ class _SupportConv(Module):
             propagated = Tensor(self.supports[k]).matmul(x)   # (..., N, Cin)
             term = propagated.matmul(self.weight[k])
             out = term if out is None else out + term
-        if extra_supports:
-            raise ValueError("extra supports need matching weights; "
-                             "use AdaptiveDiffusionConv instead")
         return out + self.bias
 
 

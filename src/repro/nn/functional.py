@@ -14,11 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels as _kernels
-# Imported after .tensor so the obs package (whose metrics module pulls in
+# Imported after .tensor so the obs package (whose stats module pulls in
 # the profiler, and with it the tensor module) never re-enters a partially
 # initialised import; kernels.py itself stays obs-free for the same reason.
 from .tensor import Tensor, is_grad_enabled, unbroadcast
 from ..obs.spans import span
+from ..reference import _REFERENCE
 
 __all__ = [
     "relu", "leaky_relu", "sigmoid", "tanh", "softmax", "log_softmax", "gelu",
@@ -118,7 +119,7 @@ def _slice_views(x: Tensor, indices: Sequence[tuple], op: str) -> list[Tensor]:
     back to plain ``getitem`` nodes (the pre-optimisation behaviour).
     """
     if (not x.requires_grad or not is_grad_enabled()
-            or _kernels.reference_kernels_enabled()):
+            or "kernels" in _REFERENCE):
         return [x[idx] for idx in indices]
 
     def anchor_backward(g: np.ndarray) -> None:
@@ -300,8 +301,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             # input grad: scatter columns back
             g_cols = _kernels.conv_col_grad_contract(w_mat, g_mat)
             g_cols = g_cols.reshape(batch, c_in, kh * kw, -1)
-            col2im = (_kernels.col2im_reference
-                      if _kernels.reference_kernels_enabled()
+            col2im = (_kernels.col2im_reference if "kernels" in _REFERENCE
                       else _kernels.col2im)
             gx = col2im(g_cols, (batch, c_in, height, width), (kh, kw),
                         stride, dilation)

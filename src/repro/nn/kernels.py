@@ -24,54 +24,30 @@ keeps that floor close to the numpy speed-of-light:
   BLAS (``matmul``/``tensordot``) instead of ``np.einsum``'s generic
   sum-of-products loops; the reference mode keeps the einsum paths.
 
-The :func:`use_reference_kernels` context switches the whole engine (conv
-scatter, index caching, basic-index gradients, ``unbind``/``split`` views)
-back to the pre-optimisation reference paths so a single process can time
-"before" and "after" honestly — see ``repro bench kernels`` and
-``docs/performance.md``.
+``reference_mode("kernels")`` (:mod:`repro.reference`) switches the whole
+engine (conv scatter, index caching, basic-index gradients,
+``unbind``/``split`` views) back to the pre-optimisation reference paths so
+a single process can time "before" and "after" honestly — see
+``repro bench kernels`` and ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 
 import numpy as np
+
+from ..reference import _REFERENCE
 
 __all__ = [
     "col_indices", "col_indices_cache_info", "clear_col_indices_cache",
     "im2col", "col2im", "col2im_reference",
     "conv_forward_contract", "conv_weight_grad_contract",
     "conv_col_grad_contract",
-    "use_reference_kernels", "reference_kernels_enabled",
 ]
 
 # Taps beyond this count make one flat bincount cheaper than per-tap adds.
 _BINCOUNT_TAP_THRESHOLD = 64
-
-_REFERENCE = False
-
-
-@contextlib.contextmanager
-def use_reference_kernels():
-    """Route all kernels through the slow reference paths inside the block.
-
-    Used by the benchmark suite to measure the pre-optimisation baseline in
-    the same process, and by the equivalence tests to obtain ground-truth
-    gradients.
-    """
-    global _REFERENCE
-    previous = _REFERENCE
-    _REFERENCE = True
-    try:
-        yield
-    finally:
-        _REFERENCE = previous
-
-
-def reference_kernels_enabled() -> bool:
-    """Whether the engine is currently in reference-kernel mode."""
-    return _REFERENCE
 
 
 # --------------------------------------------------------------------- #
@@ -118,7 +94,7 @@ def col_indices(height: int, width: int, kernel: tuple[int, int],
     key = (int(height), int(width), int(kh), int(kw),
            (int(stride[0]), int(stride[1])),
            (int(dilation[0]), int(dilation[1])))
-    if _REFERENCE:
+    if "kernels" in _REFERENCE:
         return _build_col_indices(*key)
     return _cached_col_indices(*key)
 
@@ -225,7 +201,7 @@ def col2im_reference(g_cols: np.ndarray, shape: tuple[int, int, int, int],
 def conv_forward_contract(w_mat: np.ndarray,
                           cols_mat: np.ndarray) -> np.ndarray:
     """``(Cout, CK) @ (B, CK, L) -> (B, Cout, L)`` output contraction."""
-    if _REFERENCE:
+    if "kernels" in _REFERENCE:
         return np.einsum("ok,bkl->bol", w_mat, cols_mat)
     return np.matmul(w_mat, cols_mat)
 
@@ -233,7 +209,7 @@ def conv_forward_contract(w_mat: np.ndarray,
 def conv_weight_grad_contract(g_mat: np.ndarray,
                               cols_mat: np.ndarray) -> np.ndarray:
     """``(B, Cout, L) x (B, CK, L) -> (Cout, CK)`` weight gradient."""
-    if _REFERENCE:
+    if "kernels" in _REFERENCE:
         return np.einsum("bol,bkl->ok", g_mat, cols_mat)
     return np.tensordot(g_mat, cols_mat, axes=([0, 2], [0, 2]))
 
@@ -241,6 +217,6 @@ def conv_weight_grad_contract(g_mat: np.ndarray,
 def conv_col_grad_contract(w_mat: np.ndarray,
                            g_mat: np.ndarray) -> np.ndarray:
     """``(Cout, CK).T @ (B, Cout, L) -> (B, CK, L)`` column gradient."""
-    if _REFERENCE:
+    if "kernels" in _REFERENCE:
         return np.einsum("ok,bol->bkl", w_mat, g_mat)
     return np.matmul(w_mat.T, g_mat)

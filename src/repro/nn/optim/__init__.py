@@ -2,18 +2,16 @@
 
 All optimizers run fused single-array updates when handed a
 :class:`~repro.nn.arena.ParameterArena` (or parameters bound to one);
-:func:`use_reference_optim` switches them back to the per-parameter
-reference loop for equivalence tests and benchmarks.
+``repro.reference.reference_mode("optim")`` switches them back to the
+per-parameter reference loop for equivalence tests and benchmarks.
 """
 
 from .adam import Adam, AdamW
-from .optimizer import (Optimizer, clip_grad_norm, reference_optim_enabled,
-                        use_reference_optim)
+from .optimizer import Optimizer, clip_grad_norm
 from .schedulers import CosineAnnealingLR, ExponentialLR, StepLR
 from .rmsprop import Adagrad, RMSprop
 from .sgd import SGD
 
 __all__ = ["Optimizer", "SGD", "Adam", "AdamW", "RMSprop", "Adagrad",
-           "clip_grad_norm", "use_reference_optim",
-           "reference_optim_enabled",
+           "clip_grad_norm",
            "StepLR", "ExponentialLR", "CosineAnnealingLR"]

@@ -3,7 +3,7 @@
 Both optimizers carry two execution paths: the fused single-array update
 over a :class:`~repro.nn.arena.ParameterArena` (the default when the model
 was flattened) and the original per-parameter loop, kept as the reference
-path behind :func:`~repro.nn.optim.use_reference_optim`.  The two paths
+path behind ``reference_mode("optim")`` (:mod:`repro.reference`).  The two paths
 share the same moment buffers (the loop iterates views of the fused flat
 arrays), so switching mid-run is safe.
 """

@@ -1,4 +1,4 @@
-"""Optimizer base class, gradient clipping, and the fused/reference switch.
+"""Optimizer base class and gradient clipping, fused or on the reference loop.
 
 Optimizers accept either a plain sequence of :class:`Parameter` objects or
 a :class:`repro.nn.arena.ParameterArena` (one flat buffer covering every
@@ -6,50 +6,23 @@ parameter — see :meth:`repro.nn.Module.flatten_parameters`).  When an
 arena is available, ``step()`` runs *fused*: the whole update is a handful
 of vectorized ops over the flat data/grad/state arrays instead of one
 Python round per parameter.  The original per-parameter loop is kept as
-the reference path — :func:`use_reference_optim` routes every optimizer
-back through it inside a ``with`` block, mirroring
-:func:`repro.nn.kernels.use_reference_kernels`, so equivalence tests and
-``repro bench optim`` can compare both paths in one process.
+the reference path — ``reference_mode("optim")`` (:mod:`repro.reference`)
+routes every optimizer back through it inside a ``with`` block, so
+equivalence tests and ``repro bench optim`` can compare both paths in one
+process.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Sequence
 
 import numpy as np
 
+from ...reference import _REFERENCE
 from ..arena import ParameterArena
 from ..module import Parameter
 
-__all__ = ["Optimizer", "clip_grad_norm", "use_reference_optim",
-           "reference_optim_enabled"]
-
-_REFERENCE = False
-
-
-@contextlib.contextmanager
-def use_reference_optim():
-    """Route optimizer steps through the per-parameter reference loop.
-
-    Arena-backed optimizers normally take the fused single-array path;
-    inside this block they fall back to the original per-parameter loop
-    (over the same arena-view state, so the numbers stay comparable).
-    Used by the equivalence tests and the ``repro bench optim`` suite to
-    time before/after honestly in a single process.
-    """
-    global _REFERENCE
-    previous = _REFERENCE
-    _REFERENCE = True
-    try:
-        yield
-    finally:
-        _REFERENCE = previous
-
-
-def reference_optim_enabled() -> bool:
-    """Whether optimizers are currently forced onto the reference loop."""
-    return _REFERENCE
+__all__ = ["Optimizer", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: Sequence[Parameter] | ParameterArena,
@@ -62,7 +35,7 @@ def clip_grad_norm(parameters: Sequence[Parameter] | ParameterArena,
     as two vectorized ops on the flat gradient buffer; a parameter sequence
     uses the original per-parameter loop.
     """
-    if isinstance(parameters, ParameterArena) and not _REFERENCE:
+    if isinstance(parameters, ParameterArena) and "optim" not in _REFERENCE:
         total = parameters.grad_norm()
         if total > max_norm and total > 0.0:
             parameters.grad *= max_norm / total
@@ -132,7 +105,7 @@ class Optimizer:
 
     def _fused(self) -> bool:
         """Whether this step should take the fused single-array path."""
-        if self.arena is None or _REFERENCE:
+        if self.arena is None or "optim" in _REFERENCE:
             return False
         self.arena.sync_grads()
         return True

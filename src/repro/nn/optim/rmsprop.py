@@ -2,7 +2,7 @@
 
 Both take the fused single-array path over a parameter arena when one is
 available, with the per-parameter loop kept as the reference path (see
-:func:`~repro.nn.optim.use_reference_optim`).
+``reference_mode("optim")`` in :mod:`repro.reference`).
 """
 
 from __future__ import annotations

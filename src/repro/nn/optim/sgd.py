@@ -2,7 +2,7 @@
 
 Fused single-array updates over a parameter arena by default; the original
 per-parameter loop stays available as the reference path (see
-:func:`~repro.nn.optim.use_reference_optim`).
+``reference_mode("optim")`` in :mod:`repro.reference`).
 """
 
 from __future__ import annotations

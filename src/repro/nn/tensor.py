@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .kernels import reference_kernels_enabled
+from ..reference import _REFERENCE
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast"]
 
@@ -670,7 +670,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             full = np.zeros(in_shape, dtype=dtype)
-            if basic and not reference_kernels_enabled():
+            if basic and "kernels" not in _REFERENCE:
                 # Basic indexing selects each element at most once, so the
                 # adjoint is a single in-place add on a view — no
                 # duplicate-safe (and slow) scatter needed.

@@ -9,18 +9,17 @@ The observability layer for the whole stack (see ``docs/observability.md``):
   in-memory recorder).
 - :mod:`repro.obs.manifest` — the ``run.json`` writer: config, seed,
   parameter count, wall time, peak RSS, library versions.
-- :mod:`repro.obs.metrics` — timers/counters and :func:`profile_region`,
-  which publishes op-census breakdowns from :mod:`repro.nn.profiler`.
 - :mod:`repro.obs.trace` — JSONL trace parsing, schema validation, and
   ``repro trace summarize``-style reports.
 - :mod:`repro.obs.spans` — nested, thread-correct span tracing
   (:func:`span`, :class:`SpanTree`, :func:`span_report`) over the bus.
 - :mod:`repro.obs.stats` — the :class:`MetricsRegistry` of counters,
-  gauges, and latency histograms the stack updates while it runs.
+  gauges, and latency histograms the stack updates while it runs, and
+  :func:`profile_region`, which publishes op-census breakdowns from
+  :mod:`repro.nn.profiler`.
 - :mod:`repro.obs.export` — Chrome-tracing/Perfetto timeline export.
 - :mod:`repro.obs.gate` — the ``repro bench check`` perf-regression gate
   over the committed ``BENCH_*.json`` baselines.
-- :mod:`repro.obs.obs_bench` — measures the tracing overhead itself.
 
 Quickstart::
 
@@ -31,37 +30,36 @@ Quickstart::
     bus.close()
 """
 
-from .events import (EVENT_KINDS, BatchEnd, CacheHit, CacheMiss,
-                     CheckpointSaved, ConsoleSink, DataBench, DatasetBuild,
-                     EpochEnd, EvalDone, Event, EventBus, GradClip,
-                     JSONLSink, KernelBench, MemorySink, MetricsSnapshot,
-                     ObsBench, OptimBench, ProfileSnapshot, RunFinished,
-                     RunStarted, SpanEvent, bus_scope, event_from_record,
-                     event_to_record, get_bus)
+from .events import (EVENT_KINDS, BatchEnd, BenchCase, CacheHit, CacheMiss,
+                     CheckpointSaved, ConsoleSink, DatasetBuild, EpochEnd,
+                     EvalDone, Event, EventBus, GradClip, JSONLSink,
+                     MemorySink, MetricsSnapshot, ProfileSnapshot,
+                     RunFinished, RunStarted, SpanEvent, bus_scope,
+                     event_from_record, event_to_record, get_bus)
 from .export import chrome_trace, write_chrome_trace
 from .gate import (GateFinding, GateReport, check_records, find_baselines,
                    load_bench_record, run_and_check)
 from .manifest import (RunManifest, build_manifest, normalize_ru_maxrss,
                        peak_rss_kb, read_manifest, write_manifest)
-from .metrics import Counter, Timer, profile_region, snapshot_from_report
 from .spans import (Span, SpanNode, SpanTree, current_span, disable_spans,
                     span, span_report, spans_enabled)
 from .stats import (Gauge, Histogram, MetricsRegistry, StatCounter,
-                    get_registry, registry_scope)
+                    get_registry, profile_region, registry_scope,
+                    snapshot_from_report)
 from .trace import read_trace, summarize_trace, validate_record, validate_trace
 
 __all__ = [
     "Event", "RunStarted", "BatchEnd", "EpochEnd", "EvalDone",
-    "CheckpointSaved", "RunFinished", "ProfileSnapshot", "KernelBench",
-    "GradClip", "OptimBench", "DataBench", "ObsBench",
-    "CacheHit", "CacheMiss", "DatasetBuild", "SpanEvent", "MetricsSnapshot",
+    "CheckpointSaved", "RunFinished", "ProfileSnapshot", "BenchCase",
+    "GradClip", "CacheHit", "CacheMiss", "DatasetBuild", "SpanEvent",
+    "MetricsSnapshot",
     "EVENT_KINDS",
     "event_to_record", "event_from_record",
     "EventBus", "ConsoleSink", "JSONLSink", "MemorySink",
     "get_bus", "bus_scope",
     "RunManifest", "build_manifest", "write_manifest", "read_manifest",
     "peak_rss_kb", "normalize_ru_maxrss",
-    "Timer", "Counter", "profile_region", "snapshot_from_report",
+    "profile_region", "snapshot_from_report",
     "read_trace", "validate_record", "validate_trace", "summarize_trace",
     "Span", "span", "current_span", "spans_enabled", "disable_spans",
     "SpanNode", "SpanTree", "span_report",

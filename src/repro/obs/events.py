@@ -34,10 +34,10 @@ from typing import Any, Callable, ClassVar, Iterable, TextIO
 
 __all__ = [
     "Event", "RunStarted", "BatchEnd", "EpochEnd", "EvalDone",
-    "CheckpointSaved", "RunFinished", "ProfileSnapshot", "KernelBench",
-    "GradClip", "OptimBench", "DataBench", "ObsBench",
-    "CacheHit", "CacheMiss", "DatasetBuild", "SpanEvent", "MetricsSnapshot",
-    "EVENT_KINDS", "event_to_record", "event_from_record",
+    "CheckpointSaved", "RunFinished", "ProfileSnapshot", "BenchCase",
+    "GradClip", "CacheHit", "CacheMiss", "DatasetBuild", "SpanEvent",
+    "MetricsSnapshot",
+    "EVENT_KINDS", "event_to_record", "event_from_record", "upgrade_record",
     "EventBus", "ConsoleSink", "JSONLSink", "MemorySink",
     "get_bus", "bus_scope",
 ]
@@ -159,59 +159,6 @@ class GradClip(Event):
 
 
 @dataclass
-class OptimBench(Event):
-    """One optimizer benchmark case: reference-loop vs fused timings.
-
-    Emitted by :mod:`repro.nn.optim_bench` for every case; ``meta``
-    carries the case's parameter-list geometry.
-    """
-
-    kind: ClassVar[str] = "optim_bench"
-    name: str = ""
-    mode: str = "quick"
-    reference_seconds: float = 0.0
-    fast_seconds: float = 0.0
-    speedup: float = 0.0
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class KernelBench(Event):
-    """One kernel benchmark case: reference vs. optimised timings.
-
-    Emitted by :mod:`repro.nn.kernel_bench` for every microbenchmark and
-    model-step case; ``meta`` carries the case's shapes/parameters.
-    """
-
-    kind: ClassVar[str] = "kernel_bench"
-    name: str = ""
-    mode: str = "quick"
-    reference_seconds: float = 0.0
-    fast_seconds: float = 0.0
-    speedup: float = 0.0
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class DataBench(Event):
-    """One data-pipeline benchmark case: reference vs. optimised timings.
-
-    Emitted by :mod:`repro.datasets.data_bench` for every case (cold vs.
-    cached dataset loads, eager vs. lazy window pipelines); ``meta``
-    carries case-specific measurements such as batches/sec and peak
-    memory under both pipelines.
-    """
-
-    kind: ClassVar[str] = "data_bench"
-    name: str = ""
-    mode: str = "quick"
-    reference_seconds: float = 0.0
-    fast_seconds: float = 0.0
-    speedup: float = 0.0
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
 class CacheHit(Event):
     """A ``load_dataset`` call was served from the dataset cache."""
 
@@ -247,15 +194,16 @@ class DatasetBuild(Event):
 
 
 @dataclass
-class ObsBench(Event):
-    """One observability benchmark case: untraced vs traced timings.
+class BenchCase(Event):
+    """One ``repro bench`` case: reference vs. fast timings.
 
-    Emitted by :mod:`repro.obs.obs_bench` for every case; ``meta`` carries
-    the measured tracing overhead (``overhead_pct``) so the regression
-    gate can hold instrumentation to its ≤2% budget.
+    Emitted by :func:`repro.bench.run` for every case of every suite;
+    ``suite`` names the suite and ``meta`` carries the case's shapes and
+    side measurements (batches/sec, peak memory, ``overhead_pct``, ...).
     """
 
-    kind: ClassVar[str] = "obs_bench"
+    kind: ClassVar[str] = "bench_case"
+    suite: str = ""
     name: str = ""
     mode: str = "quick"
     reference_seconds: float = 0.0
@@ -307,10 +255,22 @@ class MetricsSnapshot(Event):
 EVENT_KINDS: dict[str, type[Event]] = {
     cls.kind: cls
     for cls in (RunStarted, BatchEnd, EpochEnd, EvalDone, CheckpointSaved,
-                RunFinished, ProfileSnapshot, KernelBench, GradClip,
-                OptimBench, DataBench, ObsBench, CacheHit, CacheMiss,
-                DatasetBuild, SpanEvent, MetricsSnapshot)
+                RunFinished, ProfileSnapshot, BenchCase, GradClip, CacheHit,
+                CacheMiss, DatasetBuild, SpanEvent, MetricsSnapshot)
 }
+
+#: Per-suite bench event kinds written before every suite shared
+#: :class:`BenchCase`; old traces holding them still read, as bench cases.
+_LEGACY_BENCH_KINDS = {"kernel_bench": "kernels", "optim_bench": "optim",
+                      "data_bench": "data", "obs_bench": "obs"}
+
+
+def upgrade_record(record: dict[str, Any]) -> dict[str, Any]:
+    """Rewrite a record of a legacy event kind to its current form."""
+    suite = _LEGACY_BENCH_KINDS.get(record.get("event"))
+    if suite is None:
+        return record
+    return {**record, "event": BenchCase.kind, "suite": suite}
 
 
 def event_to_record(event: Event) -> dict[str, Any]:
@@ -322,6 +282,7 @@ def event_to_record(event: Event) -> dict[str, Any]:
 
 def event_from_record(record: dict[str, Any]) -> Event:
     """Reconstruct the typed event serialised by :func:`event_to_record`."""
+    record = upgrade_record(record)
     kind = record.get("event")
     cls = EVENT_KINDS.get(kind)
     if cls is None:
@@ -383,7 +344,7 @@ class ConsoleSink:
                     f"{len(event.counters)} counters, "
                     f"{len(event.gauges)} gauges, "
                     f"{len(event.histograms)} histograms")
-        if isinstance(event, (KernelBench, OptimBench, DataBench, ObsBench)):
+        if isinstance(event, BenchCase):
             return (f"[bench] {event.name}: reference "
                     f"{event.reference_seconds * 1e3:.2f}ms -> "
                     f"{event.fast_seconds * 1e3:.2f}ms "

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..bench import SUITES, run, timings_to_record
+
 __all__ = [
     "DEFAULT_TOLERANCE", "OVERHEAD_BUDGET_PCT", "BENCH_SUITES",
     "GateFinding", "GateReport", "load_bench_record", "find_baselines",
@@ -38,7 +40,10 @@ DEFAULT_TOLERANCE = 0.25
 OVERHEAD_BUDGET_PCT = 2.0
 
 #: Suites the gate knows how to (re-)run, in canonical order.
-BENCH_SUITES = ("kernels", "optim", "data", "obs")
+BENCH_SUITES = tuple(SUITES)
+
+#: Run one bench suite fresh: ``run_suite(suite, mode, bus=None)``.
+run_suite = run
 
 
 @dataclass
@@ -157,7 +162,10 @@ def check_records(current: dict[str, Any], baseline: dict[str, Any], *,
     from the current run fails (coverage loss); a new current-only case
     is informational.  Records from different modes measure different
     geometries, so the comparison is skipped rather than judged.
+    ``tolerance`` must lie in ``[0, 1)``.
     """
+    if not 0.0 <= tolerance < 1.0:
+        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
     suite = str(baseline.get("suite", "?"))
     mode = str(baseline.get("mode", "?"))
     report = GateReport(suite=suite, mode=mode, tolerance=tolerance)
@@ -190,28 +198,6 @@ def check_records(current: dict[str, Any], baseline: dict[str, Any], *,
     return report
 
 
-def run_suite(suite: str, mode: str, bus=None) -> list:
-    """Run one bench suite fresh; returns its ``KernelTiming`` list.
-
-    Imports lazily so the gate module stays importable without pulling
-    the whole model stack in.
-    """
-    if suite == "kernels":
-        from ..nn.kernel_bench import bench_kernels
-        return bench_kernels(mode=mode, bus=bus)
-    if suite == "optim":
-        from ..nn.optim_bench import bench_optim
-        return bench_optim(mode=mode, bus=bus)
-    if suite == "data":
-        from ..datasets.data_bench import bench_data
-        return bench_data(mode=mode, bus=bus)
-    if suite == "obs":
-        from .obs_bench import bench_obs
-        return bench_obs(mode=mode, bus=bus)
-    raise ValueError(f"unknown bench suite {suite!r}; "
-                     f"expected one of {BENCH_SUITES}")
-
-
 def run_and_check(suite: str, baseline_path: str | Path, *,
                   mode: str | None = None,
                   tolerance: float = DEFAULT_TOLERANCE,
@@ -221,10 +207,8 @@ def run_and_check(suite: str, baseline_path: str | Path, *,
     ``mode`` defaults to the baseline's recorded mode so the comparison
     is apples-to-apples.
     """
-    from ..nn.kernel_bench import timings_to_record
-
     baseline = load_bench_record(baseline_path)
     mode = mode if mode is not None else str(baseline["mode"])
     timings = run_suite(suite, mode, bus=bus)
-    current = timings_to_record(timings, mode, suite=suite)
+    current = timings_to_record(timings, mode, suite)
     return check_records(current, baseline, tolerance=tolerance)

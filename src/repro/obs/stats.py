@@ -23,6 +23,10 @@ The stack's built-in instruments:
 There is one ambient registry (:func:`get_registry`);
 :func:`registry_scope` swaps in a fresh one for a ``with`` block so tests
 and benchmark runs observe only their own activity.
+
+:func:`profile_region` publishes the op census of a region (from
+:mod:`repro.nn.profiler`) as a :class:`~repro.obs.ProfileSnapshot` event,
+with per-op node/element breakdowns.
 """
 
 from __future__ import annotations
@@ -31,11 +35,13 @@ import bisect
 import contextlib
 from typing import Any, Iterable, Sequence
 
-from .events import EventBus, MetricsSnapshot, get_bus
+from ..nn.profiler import ProfileReport, profile
+from .events import EventBus, MetricsSnapshot, ProfileSnapshot, get_bus
 
 __all__ = [
     "StatCounter", "Gauge", "Histogram", "MetricsRegistry",
     "LATENCY_BUCKETS", "get_registry", "registry_scope",
+    "profile_region", "snapshot_from_report",
 ]
 
 #: Default histogram buckets for sub-second latencies (upper bounds, s).
@@ -233,3 +239,31 @@ def registry_scope(registry: MetricsRegistry | None = None):
         yield _AMBIENT[-1]
     finally:
         _AMBIENT.pop()
+
+
+def snapshot_from_report(label: str, report: ProfileReport,
+                         top: int = 8) -> ProfileSnapshot:
+    """Convert an op-census :class:`ProfileReport` into a bus event."""
+    top_ops = {name: {"count": stats.count, "elements": stats.elements}
+               for name, stats in report.top(top)}
+    return ProfileSnapshot(label=label, wall_seconds=report.wall_seconds,
+                           total_nodes=report.total_nodes,
+                           total_elements=report.total_elements,
+                           top_ops=top_ops)
+
+
+@contextlib.contextmanager
+def profile_region(label: str, bus: EventBus | None = None, top: int = 8):
+    """Op-census a region and emit the result as a :class:`ProfileSnapshot`.
+
+    Yields the live :class:`~repro.nn.profiler.ProfileReport`; on exit the
+    aggregated census is published to ``bus`` (ambient bus by default)::
+
+        with profile_region("forward+backward"):
+            loss = model.training_loss(x, y)
+            loss.backward()
+    """
+    bus = bus or get_bus()
+    with profile() as report:
+        yield report
+    bus.emit(snapshot_from_report(label, report, top=top))

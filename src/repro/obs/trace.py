@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .events import (EVENT_KINDS, EpochEnd, EvalDone, Event, RunFinished,
-                     RunStarted, event_from_record)
+                     RunStarted, event_from_record, upgrade_record)
 
 __all__ = ["read_trace", "validate_record", "validate_trace",
            "summarize_trace"]
@@ -29,7 +29,9 @@ def read_trace(path: str | Path, *, strict: bool = False,
     the foreign events — with a note appended to ``problems`` when a
     list is supplied.  ``strict=True`` restores the hard error.
     Malformed JSON is always an error: that is a broken file, not a
-    version gap.
+    version gap.  The per-suite bench kinds of older traces
+    (``kernel_bench``, ``optim_bench``, ``data_bench``, ``obs_bench``)
+    read as :class:`~repro.obs.BenchCase` events.
     """
     events = []
     for line_no, line in enumerate(
@@ -41,6 +43,7 @@ def read_trace(path: str | Path, *, strict: bool = False,
         except json.JSONDecodeError as error:
             raise ValueError(f"{path}:{line_no}: not valid JSON "
                              f"({error})") from error
+        record = upgrade_record(record)
         if record.get("event") not in EVENT_KINDS:
             if strict:
                 raise ValueError(
@@ -58,6 +61,7 @@ def read_trace(path: str | Path, *, strict: bool = False,
 def validate_record(record: dict) -> list[str]:
     """Schema-check one trace record; returns problems ([] = valid)."""
     problems = []
+    record = upgrade_record(record)
     kind = record.get("event")
     cls = EVENT_KINDS.get(kind)
     if cls is None:

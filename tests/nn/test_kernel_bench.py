@@ -1,20 +1,19 @@
 """Quick-mode smoke tests for the kernel benchmark suite.
 
 Tier-1 guards against the benchmark rotting: the quick preset must run end
-to end, emit well-formed :class:`repro.obs.KernelBench` telemetry, and
-round-trip its JSON record.  Speedup *thresholds* are asserted only by the
-full-size, opt-in ``benchmarks/bench_kernels.py`` (tiny quick-mode shapes
-are timing noise).
+to end through :func:`repro.bench.run`, emit well-formed ``bench_case``
+telemetry tagged ``suite="kernels"``, and round-trip its JSON record.
+Speedup *thresholds* are asserted only by the full-size, opt-in
+``benchmarks/bench_suites.py`` (tiny quick-mode shapes are timing noise).
 """
 
 import json
 
 import pytest
 
+from repro.bench import (SUITES, render_timings, run, timings_to_record,
+                         write_bench_json)
 from repro.cli import main
-from repro.nn.kernel_bench import (BENCH_MODES, KernelTiming, bench_kernels,
-                                   render_timings, timings_to_record,
-                                   write_bench_json)
 from repro.obs import EventBus, MemorySink
 
 SMOKE_CASES = ["conv2d_backward", "col2im", "split_backward"]
@@ -23,8 +22,8 @@ SMOKE_CASES = ["conv2d_backward", "col2im", "split_backward"]
 @pytest.fixture(scope="module")
 def quick_timings():
     sink = MemorySink()
-    timings = bench_kernels(mode="quick", bus=EventBus([sink]),
-                            cases=SMOKE_CASES)
+    timings = run("kernels", mode="quick", bus=EventBus([sink]),
+                  cases=SMOKE_CASES)
     return timings, sink
 
 
@@ -40,35 +39,36 @@ class TestBenchKernels:
 
     def test_emits_kernel_bench_events(self, quick_timings):
         timings, sink = quick_timings
-        events = sink.of_kind("kernel_bench")
+        events = sink.of_kind("bench_case")
         assert [e.name for e in events] == [t.name for t in timings]
         for event, timing in zip(events, timings):
+            assert event.suite == "kernels"
             assert event.mode == "quick"
             assert event.reference_seconds == timing.reference_seconds
             assert event.speedup == pytest.approx(timing.speedup)
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="unknown bench mode"):
-            bench_kernels(mode="warp")
+            run("kernels", mode="warp")
 
     def test_unknown_case_raises(self):
         with pytest.raises(ValueError, match="unknown bench case"):
-            bench_kernels(mode="quick", cases=["conv9d"])
+            run("kernels", mode="quick", cases=["conv9d"])
 
     def test_modes_cover_quick_and_full(self):
-        assert {"quick", "full"} <= set(BENCH_MODES)
+        assert {"quick", "full"} <= set(SUITES["kernels"].modes)
 
 
 class TestBenchRecords:
     def test_record_structure_and_json_roundtrip(self, quick_timings,
                                                  tmp_path):
         timings, _ = quick_timings
-        record = timings_to_record(timings, mode="quick")
+        record = timings_to_record(timings, mode="quick", suite="kernels")
         assert record["suite"] == "kernels"
         assert record["mode"] == "quick"
         assert len(record["timings"]) == len(timings)
         path = tmp_path / "bench.json"
-        write_bench_json(timings, path, mode="quick")
+        write_bench_json(timings, path, mode="quick", suite="kernels")
         assert json.loads(path.read_text()) == json.loads(
             json.dumps(record))
 
@@ -78,13 +78,6 @@ class TestBenchRecords:
         for timing in timings:
             assert timing.name in table
         assert "speedup" in table
-
-    def test_speedup_property(self):
-        timing = KernelTiming(name="x", reference_seconds=2.0,
-                              fast_seconds=0.5)
-        assert timing.speedup == 4.0
-        assert KernelTiming(name="x", reference_seconds=1.0,
-                            fast_seconds=0.0).speedup == float("inf")
 
 
 class TestBenchCLI:
@@ -104,4 +97,5 @@ class TestBenchCLI:
         assert [t["name"] for t in record["timings"]] == ["col2im"]
         trace_records = [json.loads(line) for line in
                          trace_path.read_text().splitlines()]
-        assert [r["event"] for r in trace_records] == ["kernel_bench"]
+        assert [(r["event"], r["suite"]) for r in trace_records] == [
+            ("bench_case", "kernels")]

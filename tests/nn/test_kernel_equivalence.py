@@ -5,7 +5,7 @@ cached im2col indices, the BLAS conv contractions, the basic-index
 ``__getitem__`` backward, and the shared-buffer ``unbind``/``split``
 views — must produce gradients identical (≤1e-8) to the original
 ``np.add.at`` engine, which stays available behind
-:func:`repro.nn.kernels.use_reference_kernels`.  The suite sweeps strided,
+``repro.reference.reference_mode("kernels")``.  The suite sweeps strided,
 dilated, padded, and tie (overlapping-tap) geometries, plus the bincount
 fallback for many-tap kernels.
 """
@@ -16,6 +16,7 @@ import pytest
 import repro.nn.tensor as tensor_module
 from repro.nn import Tensor, functional as F, kernels as K
 from repro.nn.gradcheck import check_gradients
+from repro.reference import reference_mode
 
 TOL = 1e-8
 
@@ -37,19 +38,11 @@ CONV_GEOMETRIES = [
 ]
 
 
-def _conv_forward_backward(x, w, b, reference, **kwargs):
-    """One conv2d forward+backward; returns (out, gx, gw, gb) arrays."""
-    xt = Tensor(x, requires_grad=True)
-    wt = Tensor(w, requires_grad=True)
-    bt = Tensor(b, requires_grad=True)
-    if reference:
-        with K.use_reference_kernels():
-            out = F.conv2d(xt, wt, bt, **kwargs)
-            out.backward(np.ones_like(out.data))
-    else:
-        out = F.conv2d(xt, wt, bt, **kwargs)
-        out.backward(np.ones_like(out.data))
-    return out.data, xt.grad, wt.grad, bt.grad
+def both_engines(run):
+    """``run()`` on the fast engine, then under ``reference_mode``."""
+    fast = run()
+    with reference_mode("kernels"):
+        return fast, run()
 
 
 class TestConvEquivalence:
@@ -58,8 +51,14 @@ class TestConvEquivalence:
         x = rng.normal(size=x_shape)
         w = rng.normal(size=w_shape)
         b = rng.normal(size=(w_shape[0],))
-        fast = _conv_forward_backward(x, w, b, reference=False, **kwargs)
-        ref = _conv_forward_backward(x, w, b, reference=True, **kwargs)
+
+        def run():
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            out = F.conv2d(xt, wt, bt, **kwargs)
+            out.backward(np.ones_like(out.data))
+            return out.data, xt.grad, wt.grad, bt.grad
+
+        fast, ref = both_engines(run)
         for name, a, r in zip(("out", "gx", "gw", "gb"), fast, ref):
             assert np.abs(a - r).max() <= TOL, name
 
@@ -106,7 +105,7 @@ class TestCol2imEquivalence:
 
     def test_reference_mode_bypasses_cache(self):
         K.clear_col_indices_cache()
-        with K.use_reference_kernels():
+        with reference_mode("kernels"):
             K.col_indices(7, 7, (3, 3), (1, 1), (1, 1))
         assert K.col_indices_cache_info().misses == 0
 
@@ -122,16 +121,14 @@ class TestGetitemEquivalence:
     ], ids=["int", "slice", "axis1-int", "ellipsis", "newaxis", "negstep"])
     def test_basic_index_matches_reference(self, rng, index):
         data = rng.normal(size=(4, 5))
-        grads = {}
-        for reference in (False, True):
+
+        def run():
             x = Tensor(data, requires_grad=True)
-            if reference:
-                with K.use_reference_kernels():
-                    (x[index] * 2.0).sum().backward()
-            else:
-                (x[index] * 2.0).sum().backward()
-            grads[reference] = x.grad
-        assert np.abs(grads[False] - grads[True]).max() <= TOL
+            (x[index] * 2.0).sum().backward()
+            return x.grad
+
+        fast, ref = both_engines(run)
+        assert np.abs(fast - ref).max() <= TOL
 
     def test_advanced_index_with_ties_still_accumulates(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -155,24 +152,18 @@ class TestViewOpsEquivalence:
     @pytest.mark.parametrize("axis", [0, 1, 2, -1])
     def test_unbind_matches_reference(self, rng, axis):
         data = rng.normal(size=(3, 4, 5))
-        grads = {}
-        for reference in (False, True):
+
+        def run():
             x = Tensor(data, requires_grad=True)
+            total = None
+            for i, view in enumerate(F.unbind(x, axis=axis)):
+                term = (view * float(i + 1)).sum()
+                total = term if total is None else total + term
+            total.backward()
+            return x.grad
 
-            def body():
-                total = None
-                for i, view in enumerate(F.unbind(x, axis=axis)):
-                    term = (view * float(i + 1)).sum()
-                    total = term if total is None else total + term
-                total.backward()
-
-            if reference:
-                with K.use_reference_kernels():
-                    body()
-            else:
-                body()
-            grads[reference] = x.grad
-        assert np.abs(grads[False] - grads[True]).max() <= TOL
+        fast, ref = both_engines(run)
+        assert np.abs(fast - ref).max() <= TOL
 
     def test_unbind_gradcheck(self, rng):
         def op(x):
@@ -186,21 +177,15 @@ class TestViewOpsEquivalence:
 
     def test_split_matches_reference(self, rng):
         data = rng.normal(size=(2, 6, 5))
-        grads = {}
-        for reference in (False, True):
+
+        def run():
             x = Tensor(data, requires_grad=True)
+            value, gate = F.split(x, 2, axis=1)
+            (value * gate.sigmoid()).sum().backward()
+            return x.grad
 
-            def body():
-                value, gate = F.split(x, 2, axis=1)
-                (value * gate.sigmoid()).sum().backward()
-
-            if reference:
-                with K.use_reference_kernels():
-                    body()
-            else:
-                body()
-            grads[reference] = x.grad
-        assert np.abs(grads[False] - grads[True]).max() <= TOL
+        fast, ref = both_engines(run)
+        assert np.abs(fast - ref).max() <= TOL
 
     def test_split_backward_never_calls_scatter_add(self, rng, monkeypatch):
         """Regression for the slice fast path: a split backward must not

@@ -1,20 +1,20 @@
 """Quick-mode smoke tests for the optimizer benchmark suite.
 
 Tier-1 guards against the fused-vs-reference benchmark rotting: the quick
-preset must run end to end, emit well-formed :class:`repro.obs.OptimBench`
-telemetry, and round-trip its JSON record with ``suite="optim"``.  Speedup
-*floors* are asserted only by the full-size, opt-in
-``benchmarks/bench_optim.py`` (tiny quick-mode shapes are timing noise).
+preset must run end to end through :func:`repro.bench.run`, emit
+well-formed ``bench_case`` telemetry tagged ``suite="optim"``, and
+round-trip its JSON record with ``suite="optim"``.  Speedup *floors* are
+asserted only by the full-size, opt-in ``benchmarks/bench_suites.py``
+(tiny quick-mode shapes are timing noise).
 """
 
 import json
 
 import pytest
 
+from repro.bench import (SUITES, render_timings, run, timings_to_record,
+                         write_bench_json)
 from repro.cli import main
-from repro.nn.kernel_bench import (render_timings, timings_to_record,
-                                   write_bench_json)
-from repro.nn.optim_bench import OPTIM_BENCH_MODES, bench_optim
 from repro.obs import EventBus, MemorySink
 
 SMOKE_CASES = ["adam_step", "rmsprop_step", "zero_grad"]
@@ -23,8 +23,8 @@ SMOKE_CASES = ["adam_step", "rmsprop_step", "zero_grad"]
 @pytest.fixture(scope="module")
 def quick_timings():
     sink = MemorySink()
-    timings = bench_optim(mode="quick", bus=EventBus([sink]),
-                          cases=SMOKE_CASES)
+    timings = run("optim", mode="quick", bus=EventBus([sink]),
+                  cases=SMOKE_CASES)
     return timings, sink
 
 
@@ -40,9 +40,10 @@ class TestBenchOptim:
 
     def test_emits_optim_bench_events(self, quick_timings):
         timings, sink = quick_timings
-        events = sink.of_kind("optim_bench")
+        events = sink.of_kind("bench_case")
         assert [e.name for e in events] == [t.name for t in timings]
         for event, timing in zip(events, timings):
+            assert event.suite == "optim"
             assert event.mode == "quick"
             assert event.reference_seconds == timing.reference_seconds
             assert event.fast_seconds == timing.fast_seconds
@@ -50,18 +51,17 @@ class TestBenchOptim:
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="unknown bench mode"):
-            bench_optim(mode="huge")
+            run("optim", mode="huge")
 
     def test_unknown_case_raises(self):
         with pytest.raises(ValueError, match="unknown bench case"):
-            bench_optim(mode="quick", cases=["lion_step"])
+            run("optim", mode="quick", cases=["lion_step"])
 
     def test_modes_cover_quick_and_full(self):
-        assert {"quick", "full"} <= set(OPTIM_BENCH_MODES)
+        assert {"quick", "full"} <= set(SUITES["optim"].modes)
 
     def test_full_suite_covers_every_optimizer(self):
-        from repro.nn.optim_bench import _CASES
-        names = {name for name, _ in _CASES}
+        names = set(SUITES["optim"].cases)
         assert {"adam_step", "adamw_step", "sgd_step", "rmsprop_step",
                 "adagrad_step", "clip_grad_norm", "zero_grad"} <= names
 
@@ -104,4 +104,5 @@ class TestBenchCLI:
         assert [t["name"] for t in record["timings"]] == ["adam_step"]
         trace_records = [json.loads(line) for line in
                          trace_path.read_text().splitlines()]
-        assert [r["event"] for r in trace_records] == ["optim_bench"]
+        assert [(r["event"], r["suite"]) for r in trace_records] == [
+            ("bench_case", "optim")]

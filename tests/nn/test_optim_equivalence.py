@@ -2,7 +2,7 @@
 
 Every optimizer carries two paths over the same state buffers: the fused
 single-array update (default on an arena) and the original per-parameter
-loop behind ``use_reference_optim``.  These tests drive both paths with
+loop behind ``reference_mode("optim")``.  These tests drive both paths with
 identical gradients for several steps — weight decay and momentum engaged
 — and hold parameters *and* optimizer state to agreement within 1e-12.
 """
@@ -14,8 +14,8 @@ import pytest
 
 from repro.nn import Linear, Module
 from repro.nn.optim import (SGD, Adagrad, Adam, AdamW, RMSprop,
-                            clip_grad_norm, reference_optim_enabled,
-                            use_reference_optim)
+                            clip_grad_norm)
+from repro.reference import reference_active, reference_mode
 
 ATOL = 1e-12
 
@@ -50,10 +50,10 @@ def run_steps(cls, kwargs, reference, steps=5, grad_clip=None):
     model = Net(seed=1)
     arena = model.flatten_parameters()
     optimizer = cls(arena, **kwargs)
-    context = (use_reference_optim() if reference
+    context = (reference_mode("optim") if reference
                else contextlib.nullcontext())
     with context:
-        assert reference_optim_enabled() is reference
+        assert reference_active("optim") is reference
         for _ in range(steps):
             arena.grad[:] = grads.normal(size=arena.size) * 10.0
             if grad_clip is not None:
@@ -100,7 +100,7 @@ class TestPathSwitching:
             for step in range(6):
                 arena.grad[:] = grads.normal(size=arena.size)
                 if alternate and step % 2:
-                    with use_reference_optim():
+                    with reference_mode("optim"):
                         optimizer.step()
                 else:
                     optimizer.step()

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.obs import (EVENT_KINDS, BatchEnd, CacheHit, CacheMiss,
-                       CheckpointSaved, ConsoleSink, DataBench, DatasetBuild,
+from repro.obs import (EVENT_KINDS, BatchEnd, BenchCase, CacheHit,
+                       CacheMiss, CheckpointSaved, ConsoleSink, DatasetBuild,
                        EpochEnd, EvalDone, EventBus, GradClip, JSONLSink,
-                       KernelBench, MemorySink, MetricsSnapshot, ObsBench,
-                       OptimBench, ProfileSnapshot, RunFinished, RunStarted,
-                       SpanEvent, bus_scope, event_from_record,
-                       event_to_record, get_bus, read_trace)
+                       MemorySink, MetricsSnapshot, ProfileSnapshot,
+                       RunFinished, RunStarted, SpanEvent, bus_scope,
+                       event_from_record, event_to_record, get_bus,
+                       read_trace, validate_trace)
 
 
 def sample_events():
@@ -29,25 +29,16 @@ def sample_events():
         ProfileSnapshot(label="fwd", wall_seconds=0.1, total_nodes=10,
                         total_elements=100,
                         top_ops={"matmul": {"count": 4, "elements": 80}}),
-        KernelBench(name="conv2d_backward", mode="full",
-                    reference_seconds=0.04, fast_seconds=0.01, speedup=4.0,
-                    meta={"kernel": [1, 3]}),
+        BenchCase(suite="kernels", name="conv2d_backward", mode="full",
+                  reference_seconds=0.04, fast_seconds=0.01, speedup=4.0,
+                  meta={"kernel": [1, 3]}),
         GradClip(epoch=1, batch=3, norm=7.25, max_norm=5.0),
-        OptimBench(name="adam_step", mode="full",
-                   reference_seconds=0.02, fast_seconds=0.005, speedup=4.0,
-                   meta={"parameters": 300}),
-        DataBench(name="dataset_load", mode="full",
-                  reference_seconds=1.2, fast_seconds=0.1, speedup=12.0,
-                  meta={"dataset": "metr-la"}),
         CacheHit(name="metr-la", scale="ci", key="0123456789abcdef",
                  path="/tmp/cache/metr-la_ci_0123456789abcdef.npz",
                  seconds=0.05),
         CacheMiss(name="metr-la", scale="ci", key="0123456789abcdef"),
         DatasetBuild(name="metr-la", scale="ci", num_nodes=7,
                      num_steps=1152, seconds=0.8, cached=True),
-        ObsBench(name="traced_train_step", mode="full",
-                 reference_seconds=0.3, fast_seconds=0.302, speedup=0.99,
-                 meta={"overhead_pct": 0.7}),
         SpanEvent(label="train/batch", span_id="2f", parent_id="1a",
                   t_start=1700000000.5, seconds=0.025, status="ok",
                   depth=2, thread=12345, attrs={"batch": 4}),
@@ -204,6 +195,24 @@ class TestJSONLSink:
             for event in events:
                 bus.emit(event)
         assert read_trace(path) == events
+
+    @pytest.mark.parametrize("kind, suite", [
+        ("kernel_bench", "kernels"), ("optim_bench", "optim"),
+        ("data_bench", "data"), ("obs_bench", "obs")])
+    def test_reads_legacy_bench_kind(self, tmp_path, kind, suite):
+        """Old traces' per-suite bench kinds read as bench cases."""
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(
+            {"event": kind, "t": 1.0, "name": "case", "mode": "full",
+             "reference_seconds": 2.0, "fast_seconds": 1.0, "speedup": 2.0,
+             "meta": {"overhead_pct": 0.7}}) + "\n")
+        problems = []
+        assert read_trace(path, strict=True, problems=problems) == [
+            BenchCase(suite=suite, name="case", mode="full",
+                      reference_seconds=2.0, fast_seconds=1.0, speedup=2.0,
+                      meta={"overhead_pct": 0.7}, t=1.0)]
+        assert problems == []
+        assert validate_trace(path) == []
 
     def test_appends_across_reopen(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -60,6 +60,19 @@ class TestCheckRecords:
         assert check_records(current, baseline).passed
         assert not check_records(current, baseline, tolerance=0.05).passed
 
+    @pytest.mark.parametrize("tolerance", [1.0, 1.5, -0.5])
+    def test_tolerance_outside_unit_interval_rejected(self, tolerance):
+        """1.0 would pass speedups divided by any factor; a negative one
+        would fail a record compared against itself."""
+        record = make_record()
+        with pytest.raises(ValueError, match=r"tolerance must be in \[0, 1\)"):
+            check_records(record, record, tolerance=tolerance)
+
+    def test_tolerance_bounds(self):
+        record = make_record()
+        assert check_records(record, record, tolerance=0.0).passed
+        assert check_records(record, record, tolerance=0.99).passed
+
     def test_missing_case_fails(self):
         baseline = make_record(cases={"conv": 4.0, "gru": 1.5})
         current = make_record(cases={"conv": 4.0})
@@ -188,6 +201,17 @@ class TestCommittedBaselines:
         assert rc == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "regression" in out
+
+    @pytest.mark.parametrize("tolerance", ["1.0", "-0.5"])
+    def test_cli_rejects_tolerance_outside_unit_interval(self, tolerance,
+                                                         capsys):
+        from repro.cli import main
+
+        baseline = str(REPO_ROOT / "BENCH_kernels.json")
+        rc = main(["bench", "check", "--current", baseline,
+                   "--baseline", baseline, f"--tolerance={tolerance}"])
+        assert rc == 2
+        assert "--tolerance must be in [0, 1)" in capsys.readouterr().err
 
     def test_cli_rejects_half_specified_comparison(self, capsys):
         from repro.cli import main

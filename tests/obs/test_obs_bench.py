@@ -2,36 +2,29 @@
 
 import pytest
 
+from repro.bench import run
 from repro.obs import EventBus, MemorySink
-from repro.obs.obs_bench import OBS_BENCH_MODES, bench_obs
 
 
 class TestBenchObs:
     def test_emits_obs_bench_events(self):
         sink = MemorySink()
-        timings = bench_obs(mode="quick", bus=EventBus([sink]),
-                            cases=["metrics_registry",
-                                   "span_noop_vs_recorded"])
+        timings = run("obs", mode="quick", bus=EventBus([sink]),
+                      cases=["metrics_registry", "span_noop_vs_recorded"])
         assert [t.name for t in timings] == ["span_noop_vs_recorded",
                                              "metrics_registry"]
-        events = sink.of_kind("obs_bench")
+        events = sink.of_kind("bench_case")
         assert [e.name for e in events] == [t.name for t in timings]
         for event, timing in zip(events, timings):
+            assert event.suite == "obs"
             assert event.mode == "quick"
             assert event.speedup == timing.speedup
             assert event.meta == timing.meta
 
-    def test_span_case_meta_reports_per_span_cost(self):
-        (timing,) = bench_obs(mode="quick", bus=EventBus(),
-                              cases=["span_noop_vs_recorded"])
-        assert timing.meta["spans"] == OBS_BENCH_MODES["quick"]["spans"]
-        assert timing.meta["noop_ns_per_span"] > 0
-        assert timing.meta["recorded_ns_per_span"] > 0
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown bench mode"):
-            bench_obs(mode="nope")
+            run("obs", mode="nope")
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="unknown bench case"):
-            bench_obs(mode="quick", cases=["nope"])
+            run("obs", mode="quick", cases=["nope"])

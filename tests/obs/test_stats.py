@@ -1,4 +1,5 @@
-"""Metrics registry: instruments, snapshots, scoping, live wiring."""
+"""Metrics registry: instruments, snapshots, scoping, live wiring, and
+bus-publishing profiled regions."""
 
 import json
 import math
@@ -6,8 +7,10 @@ import math
 import pytest
 
 from repro.core import TrainingConfig
+from repro.nn import Tensor
 from repro.obs import (EventBus, Histogram, MemorySink, MetricsRegistry,
-                       get_registry, registry_scope)
+                       bus_scope, get_registry, profile_region,
+                       registry_scope)
 
 
 class TestInstruments:
@@ -169,3 +172,33 @@ class TestLiveWiring:
             batches = sum(1 for _ in loader)
             assert registry.counter("data/batches").value == batches
             assert registry.histogram("data/gather_seconds").count == batches
+
+
+class TestProfileRegion:
+    def test_emits_snapshot_with_op_census(self):
+        sink = MemorySink()
+        bus = EventBus([sink])
+        with profile_region("fwd+bwd", bus=bus, top=3):
+            a = Tensor([[1.0, 2.0]], requires_grad=True)
+            (a @ Tensor([[1.0], [1.0]])).sum().backward()
+        (snapshot,) = sink.of_kind("profile")
+        assert snapshot.label == "fwd+bwd"
+        assert snapshot.total_nodes > 0
+        assert snapshot.total_elements > 0
+        assert snapshot.top_ops
+        assert len(snapshot.top_ops) <= 3
+        for stats in snapshot.top_ops.values():
+            assert stats["count"] >= 1
+            assert stats["elements"] >= 1
+
+    def test_defaults_to_ambient_bus(self):
+        sink = MemorySink()
+        with bus_scope(EventBus([sink])):
+            with profile_region("region"):
+                Tensor([1.0]) + Tensor([2.0])
+        assert len(sink.of_kind("profile")) == 1
+
+    def test_yields_live_report(self):
+        with profile_region("r", bus=EventBus()) as report:
+            Tensor([1.0]) + Tensor([2.0])
+        assert report.total_nodes > 0
