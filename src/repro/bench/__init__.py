@@ -81,14 +81,13 @@ SUITES: dict[str, Suite] = {s.name: s for s in (
                          batch_size=32),
            "full": dict(repeats=3, dataset="metr-la", scale="bench",
                         batch_size=32)}),
-    Suite("obs", "time the observability layer itself (span overhead, "
-                 "metrics registry)",
+    Suite("obs", "time the observability layer itself (span overhead)",
           "Observability benchmark suite (mode={mode}) — untraced vs "
           "traced-but-unobserved instrumentation",
           {"quick": dict(repeats=2, epochs=1, max_batches=4, batch_size=8,
-                         spans=2_000, ops=20_000),
+                         spans=2_000),
            "full": dict(repeats=5, epochs=1, max_batches=16, batch_size=16,
-                        spans=20_000, ops=200_000)}),
+                        spans=20_000)}),
 )}
 
 

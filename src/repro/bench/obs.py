@@ -1,7 +1,7 @@
 """Observability suite: what does the tracing itself cost?
 
 Instrumentation only earns its keep if it is effectively free when
-nobody listens.  This suite measures that contract from three angles:
+nobody listens.  This suite measures that contract from two angles:
 
 - ``traced_train_step``   a full :class:`repro.train.Engine` fit (STGCN
   on a CI-scale world) with span instrumentation live-but-unobserved
@@ -12,20 +12,15 @@ nobody listens.  This suite measures that contract from three angles:
 - ``span_noop_vs_recorded``  the :func:`repro.obs.span` context manager
   in isolation: recorded spans (a :class:`MemorySink` attached) vs. the
   no-op fast path on a sinkless bus; meta carries ns-per-span both ways.
-- ``metrics_registry``    hot-loop histogram updates through a fresh
-  registry lookup every iteration vs. the documented hoisted-instrument
-  pattern; meta carries ns-per-op both ways.
 
-Reference timings are the *instrumentation-on* side (recorded spans,
-per-op registry lookups) except for the overhead case, whose reference
-is the untraced fit.
+The span case's reference timing is the *instrumentation-on* side
+(recorded spans); the overhead case's reference is the untraced fit.
 """
 
 from __future__ import annotations
 
 from ..obs.events import EventBus, MemorySink
 from ..obs.spans import disable_spans, span
-from ..obs.stats import registry_scope
 from . import best_of, interleaved_best
 
 __all__ = ["CASES"]
@@ -58,9 +53,8 @@ def _traced_train_step(sizes: dict):
         with disable_spans():
             Engine(config).fit(make_model(), dataset, seed=0, bus=silent)
 
-    with registry_scope():       # keep bench metrics out of the ambient
-        reference, fast = interleaved_best(fit_untraced, fit_traced,
-                                           sizes["repeats"])
+    reference, fast = interleaved_best(fit_untraced, fit_traced,
+                                       sizes["repeats"])
     overhead_pct = (fast / reference - 1.0) * 100.0
     meta = {"overhead_pct": round(overhead_pct, 3),
             "model": "stgcn", "dataset": "pemsd8",
@@ -89,30 +83,7 @@ def _span_noop_vs_recorded(sizes: dict):
     return reference, fast, meta
 
 
-def _metrics_registry(sizes: dict):
-    n = sizes["ops"]
-
-    def fresh_lookup():
-        with registry_scope() as registry:
-            for i in range(n):
-                registry.histogram("bench/latency").observe(i * 1e-6)
-
-    def hoisted():
-        with registry_scope() as registry:
-            hist = registry.histogram("bench/latency")
-            for i in range(n):
-                hist.observe(i * 1e-6)
-
-    reference = best_of(fresh_lookup, sizes["repeats"])
-    fast = best_of(hoisted, sizes["repeats"])
-    meta = {"ops": n,
-            "lookup_ns_per_op": round(reference / n * 1e9, 1),
-            "hoisted_ns_per_op": round(fast / n * 1e9, 1)}
-    return reference, fast, meta
-
-
 CASES = {
     "traced_train_step": _traced_train_step,
     "span_noop_vs_recorded": _span_noop_vs_recorded,
-    "metrics_registry": _metrics_registry,
 }

@@ -25,7 +25,6 @@ from ..graph.adjacency import gaussian_adjacency
 from ..graph.road_network import RoadNetwork, build_network
 from ..obs.events import CacheHit, CacheMiss, DatasetBuild, EventBus, get_bus
 from ..obs.spans import span
-from ..obs.stats import get_registry
 from .cache import DatasetCache, cache_enabled, dataset_cache_key
 from .generator import SimulationConfig, SimulationResult, TrafficSimulator
 from .windows import SupervisedDataset, WindowConfig, make_windows
@@ -175,7 +174,6 @@ def load_dataset(name: str, scale: str = "ci",
 
     use_cache = cache_enabled() if cache is None else bool(cache)
     bus = bus if bus is not None else get_bus()
-    registry = get_registry()
     with span("data/load", bus=bus, dataset=spec.name, scale=scale) as sp:
         store = DatasetCache() if use_cache else None
         cache_key = dataset_cache_key(spec, sim_config, window, seed_offset,
@@ -184,14 +182,12 @@ def load_dataset(name: str, scale: str = "ci",
             start = time.perf_counter()
             cached = store.get(spec.name, scale, cache_key)
             if cached is not None:
-                registry.counter("data/cache_hits").inc()
                 sp.set(cache="hit")
                 bus.emit(CacheHit(name=spec.name, scale=scale, key=cache_key,
                                   path=str(store.path_for(spec.name, scale,
                                                           cache_key)),
                                   seconds=time.perf_counter() - start))
                 return cached
-            registry.counter("data/cache_misses").inc()
             sp.set(cache="miss")
             bus.emit(CacheMiss(name=spec.name, scale=scale, key=cache_key))
 

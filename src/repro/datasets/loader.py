@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import time
 from typing import Iterator
 
 import numpy as np
 
 from ..obs.spans import span
-from ..obs.stats import get_registry
 from .windows import SupervisedSplit
 
 __all__ = ["DataLoader"]
@@ -55,14 +53,10 @@ class DataLoader:
             self._rng.shuffle(order)
         stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
         gather = getattr(self.split, "batch", None)
-        registry = get_registry()
-        gather_hist = registry.histogram("data/gather_seconds")
-        gather_counter = registry.counter("data/batches")
         for lo in range(0, stop, self.batch_size):
             index = order[lo:lo + self.batch_size]
             # The span closes before the yield, so consumer work is never
             # billed to the gather.
-            gather_start = time.perf_counter()
             with span("data/gather", size=len(index)):
                 if gather is not None:
                     batch = gather(index, target_scaler=self.target_scaler)
@@ -72,6 +66,4 @@ class DataLoader:
                         y = self.target_scaler.transform(y)
                     batch = (self.split.x[index], y,
                              self.split.start_index[index])
-            gather_hist.observe(time.perf_counter() - gather_start)
-            gather_counter.inc()
             yield batch

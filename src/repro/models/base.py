@@ -23,6 +23,14 @@ __all__ = ["TrafficModel", "register_model", "create_model", "model_names",
 MODEL_REGISTRY: dict[str, Type["TrafficModel"]] = {}
 
 
+def check_tf_ratio(tf_ratio: float) -> float:
+    """A seq2seq teacher-forcing probability, rejected outside [0, 1]."""
+    if not 0.0 <= tf_ratio <= 1.0:
+        raise ValueError(f"tf_ratio must be a probability in [0, 1], "
+                         f"got {tf_ratio}")
+    return tf_ratio
+
+
 def register_model(name: str) -> Callable[[Type["TrafficModel"]], Type["TrafficModel"]]:
     """Class decorator adding a model to the registry under ``name``."""
 

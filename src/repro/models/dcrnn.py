@@ -23,7 +23,7 @@ from ..nn.losses import masked_mae
 from ..nn.module import Module, ModuleList
 from ..nn.layers import Linear
 from ..nn.tensor import Tensor
-from .base import TrafficModel, register_model
+from .base import TrafficModel, check_tf_ratio, register_model
 from .graph_conv import DiffusionConv
 
 __all__ = ["DCRNN", "DCGRUCell"]
@@ -68,8 +68,12 @@ class DCRNN(TrafficModel):
         rng = np.random.default_rng(seed)
         self.hidden_size = hidden_size
         self.num_layers = num_layers
-        self.tf_ratio = tf_ratio
-        self.scheduled_sampling_decay = scheduled_sampling_decay
+        self.tf_ratio = check_tf_ratio(tf_ratio)
+        decay = scheduled_sampling_decay
+        if decay is not None and not decay > 0:
+            raise ValueError(f"scheduled_sampling_decay must be > 0 (None "
+                             f"keeps tf_ratio fixed), got {decay}")
+        self.scheduled_sampling_decay = decay
         self._global_step = 0
         self._tf_rng = np.random.default_rng(seed + 7919)
         self.encoder = ModuleList(

@@ -17,7 +17,7 @@ from ..nn.layers.recurrent import LSTMCell
 from ..nn.losses import masked_mae
 from ..nn.module import ModuleList
 from ..nn.tensor import Tensor
-from .base import TrafficModel, register_model
+from .base import TrafficModel, check_tf_ratio, register_model
 
 __all__ = ["FCLSTM"]
 
@@ -34,7 +34,7 @@ class FCLSTM(TrafficModel):
         rng = np.random.default_rng(seed)
         self.hidden_size = hidden_size
         self.num_layers = num_layers
-        self.tf_ratio = tf_ratio
+        self.tf_ratio = check_tf_ratio(tf_ratio)
         self._tf_rng = np.random.default_rng(seed + 4219)
         flat_in = num_nodes * in_features
         self.encoder = ModuleList(

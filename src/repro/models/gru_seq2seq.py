@@ -17,7 +17,7 @@ from ..nn.layers.recurrent import GRUCell
 from ..nn.losses import masked_mae
 from ..nn.module import ModuleList
 from ..nn.tensor import Tensor
-from .base import TrafficModel, register_model
+from .base import TrafficModel, check_tf_ratio, register_model
 
 
 @register_model("gru-seq2seq")
@@ -32,7 +32,7 @@ class GRUSeq2Seq(TrafficModel):
         rng = np.random.default_rng(seed)
         self.hidden_size = hidden_size
         self.num_layers = num_layers
-        self.tf_ratio = tf_ratio
+        self.tf_ratio = check_tf_ratio(tf_ratio)
         self._tf_rng = np.random.default_rng(seed + 3571)
         self.encoder = ModuleList(
             [GRUCell(in_features if i == 0 else hidden_size, hidden_size,

@@ -25,7 +25,7 @@ from ..nn.layers import Linear
 from ..nn.losses import masked_mae
 from ..nn.module import Module, ModuleList, Parameter
 from ..nn.tensor import Tensor
-from .base import TrafficModel, register_model
+from .base import TrafficModel, check_tf_ratio, register_model
 
 __all__ = ["STMetaNet", "MetaGRUCell", "MetaGAT"]
 
@@ -140,7 +140,7 @@ class STMetaNet(TrafficModel):
         super().__init__(num_nodes, adjacency, history, horizon, in_features, seed)
         rng = np.random.default_rng(seed)
         self.hidden_size = hidden_size
-        self.tf_ratio = tf_ratio
+        self.tf_ratio = check_tf_ratio(tf_ratio)
         self._tf_rng = np.random.default_rng(seed + 104729)
 
         static = _node_static_features(adjacency)

@@ -33,8 +33,12 @@ def clip_grad_norm(parameters: Sequence[Parameter] | ParameterArena,
     stable training; we apply it uniformly across models.  Passing a
     :class:`~repro.nn.arena.ParameterArena` computes the norm and rescale
     as two vectorized ops on the flat gradient buffer; a parameter sequence
-    uses the original per-parameter loop.
+    uses the original per-parameter loop.  ``max_norm`` must be positive:
+    a negative one would flip the gradient's sign and a zero one erase it.
     """
+    if not max_norm > 0:
+        raise ValueError(f"clip_grad_norm max_norm must be > 0, got "
+                         f"{max_norm}")
     if isinstance(parameters, ParameterArena) and "optim" not in _REFERENCE:
         total = parameters.grad_norm()
         if total > max_norm and total > 0.0:

@@ -13,10 +13,11 @@ The observability layer for the whole stack (see ``docs/observability.md``):
   ``repro trace summarize``-style reports.
 - :mod:`repro.obs.spans` — nested, thread-correct span tracing
   (:func:`span`, :class:`SpanTree`, :func:`span_report`) over the bus.
-- :mod:`repro.obs.stats` — the :class:`MetricsRegistry` of counters,
-  gauges, and latency histograms the stack updates while it runs, and
-  :func:`profile_region`, which publishes op-census breakdowns from
-  :mod:`repro.nn.profiler`.
+- :mod:`repro.obs.stats` — :func:`profile_region`, which publishes
+  op-census breakdowns from :mod:`repro.nn.profiler`.  Aggregates (batch
+  counts and latencies, cache hit ratio, clip rate) come from the trace
+  itself: :meth:`SpanTree.aggregate` and the ``cache_*``/``grad_clip``
+  events.
 - :mod:`repro.obs.export` — Chrome-tracing/Perfetto timeline export.
 - :mod:`repro.obs.gate` — the ``repro bench check`` perf-regression gate
   over the committed ``BENCH_*.json`` baselines.
@@ -33,9 +34,9 @@ Quickstart::
 from .events import (EVENT_KINDS, BatchEnd, BenchCase, CacheHit, CacheMiss,
                      CheckpointSaved, ConsoleSink, DatasetBuild, EpochEnd,
                      EvalDone, Event, EventBus, GradClip, JSONLSink,
-                     MemorySink, MetricsSnapshot, ProfileSnapshot,
-                     RunFinished, RunStarted, SpanEvent, bus_scope,
-                     event_from_record, event_to_record, get_bus)
+                     MemorySink, ProfileSnapshot, RunFinished, RunStarted,
+                     SpanEvent, bus_scope, event_from_record,
+                     event_to_record, get_bus)
 from .export import chrome_trace, write_chrome_trace
 from .gate import (GateFinding, GateReport, check_records, find_baselines,
                    load_bench_record, run_and_check)
@@ -43,16 +44,13 @@ from .manifest import (RunManifest, build_manifest, normalize_ru_maxrss,
                        peak_rss_kb, read_manifest, write_manifest)
 from .spans import (Span, SpanNode, SpanTree, current_span, disable_spans,
                     span, span_report, spans_enabled)
-from .stats import (Gauge, Histogram, MetricsRegistry, StatCounter,
-                    get_registry, profile_region, registry_scope,
-                    snapshot_from_report)
+from .stats import profile_region, snapshot_from_report
 from .trace import read_trace, summarize_trace, validate_record, validate_trace
 
 __all__ = [
     "Event", "RunStarted", "BatchEnd", "EpochEnd", "EvalDone",
     "CheckpointSaved", "RunFinished", "ProfileSnapshot", "BenchCase",
     "GradClip", "CacheHit", "CacheMiss", "DatasetBuild", "SpanEvent",
-    "MetricsSnapshot",
     "EVENT_KINDS",
     "event_to_record", "event_from_record",
     "EventBus", "ConsoleSink", "JSONLSink", "MemorySink",
@@ -63,8 +61,6 @@ __all__ = [
     "read_trace", "validate_record", "validate_trace", "summarize_trace",
     "Span", "span", "current_span", "spans_enabled", "disable_spans",
     "SpanNode", "SpanTree", "span_report",
-    "StatCounter", "Gauge", "Histogram", "MetricsRegistry",
-    "get_registry", "registry_scope",
     "chrome_trace", "write_chrome_trace",
     "GateFinding", "GateReport", "load_bench_record", "find_baselines",
     "check_records", "run_and_check",

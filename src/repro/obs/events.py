@@ -36,7 +36,6 @@ __all__ = [
     "Event", "RunStarted", "BatchEnd", "EpochEnd", "EvalDone",
     "CheckpointSaved", "RunFinished", "ProfileSnapshot", "BenchCase",
     "GradClip", "CacheHit", "CacheMiss", "DatasetBuild", "SpanEvent",
-    "MetricsSnapshot",
     "EVENT_KINDS", "event_to_record", "event_from_record", "upgrade_record",
     "EventBus", "ConsoleSink", "JSONLSink", "MemorySink",
     "get_bus", "bus_scope",
@@ -237,26 +236,11 @@ class SpanEvent(Event):
     attrs: dict = field(default_factory=dict)
 
 
-@dataclass
-class MetricsSnapshot(Event):
-    """A point-in-time dump of a :class:`repro.obs.stats.MetricsRegistry`.
-
-    ``counters``/``gauges`` map metric name to value; ``histograms`` maps
-    name to ``{"buckets": [...], "counts": [...], "count": n, "sum": s}``.
-    """
-
-    kind: ClassVar[str] = "metrics"
-    label: str = ""
-    counters: dict = field(default_factory=dict)
-    gauges: dict = field(default_factory=dict)
-    histograms: dict = field(default_factory=dict)
-
-
 EVENT_KINDS: dict[str, type[Event]] = {
     cls.kind: cls
     for cls in (RunStarted, BatchEnd, EpochEnd, EvalDone, CheckpointSaved,
                 RunFinished, ProfileSnapshot, BenchCase, GradClip, CacheHit,
-                CacheMiss, DatasetBuild, SpanEvent, MetricsSnapshot)
+                CacheMiss, DatasetBuild, SpanEvent)
 }
 
 #: Per-suite bench event kinds written before every suite shared
@@ -339,11 +323,6 @@ class ConsoleSink:
             mark = "" if event.status == "ok" else f" ERROR {event.error}"
             return (f"{'  ' * event.depth}[span] {event.label} "
                     f"({event.seconds * 1e3:.2f}ms){mark}")
-        if isinstance(event, MetricsSnapshot):
-            return (f"[metrics] {event.label or 'snapshot'}: "
-                    f"{len(event.counters)} counters, "
-                    f"{len(event.gauges)} gauges, "
-                    f"{len(event.histograms)} histograms")
         if isinstance(event, BenchCase):
             return (f"[bench] {event.name}: reference "
                     f"{event.reference_seconds * 1e3:.2f}ms -> "

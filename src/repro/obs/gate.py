@@ -28,9 +28,9 @@ from typing import Any
 from ..bench import SUITES, run, timings_to_record
 
 __all__ = [
-    "DEFAULT_TOLERANCE", "OVERHEAD_BUDGET_PCT", "BENCH_SUITES",
+    "DEFAULT_TOLERANCE", "OVERHEAD_BUDGET_PCT",
     "GateFinding", "GateReport", "load_bench_record", "find_baselines",
-    "check_records", "run_suite", "run_and_check",
+    "check_records", "run_and_check",
 ]
 
 #: Allowed relative decay of a case's speedup before the gate fails.
@@ -38,12 +38,6 @@ DEFAULT_TOLERANCE = 0.25
 
 #: Absolute ceiling (percent) for tracing overhead cases.
 OVERHEAD_BUDGET_PCT = 2.0
-
-#: Suites the gate knows how to (re-)run, in canonical order.
-BENCH_SUITES = tuple(SUITES)
-
-#: Run one bench suite fresh: ``run_suite(suite, mode, bus=None)``.
-run_suite = run
 
 
 @dataclass
@@ -122,7 +116,7 @@ def load_bench_record(path: str | Path) -> dict[str, Any]:
 def find_baselines(root: str | Path = ".") -> dict[str, Path]:
     """Map suite name → committed ``BENCH_<suite>.json`` under ``root``."""
     root = Path(root)
-    return {suite: path for suite in BENCH_SUITES
+    return {suite: path for suite in SUITES
             if (path := root / f"BENCH_{suite}.json").exists()}
 
 
@@ -209,6 +203,6 @@ def run_and_check(suite: str, baseline_path: str | Path, *,
     """
     baseline = load_bench_record(baseline_path)
     mode = mode if mode is not None else str(baseline["mode"])
-    timings = run_suite(suite, mode, bus=bus)
+    timings = run(suite, mode, bus=bus)
     current = timings_to_record(timings, mode, suite)
     return check_records(current, baseline, tolerance=tolerance)

@@ -30,7 +30,6 @@ from ..nn.checkpoint import save_checkpoint
 from ..nn.optim import (CosineAnnealingLR, ExponentialLR, StepLR,
                         clip_grad_norm)
 from ..obs.events import BatchEnd, EpochEnd, GradClip, bus_scope
-from ..obs.stats import get_registry
 
 if typing.TYPE_CHECKING:                                 # pragma: no cover
     from .engine import EngineState
@@ -63,26 +62,25 @@ class GradClipCallback(Callback):
 
     Emits a ``grad_clip`` telemetry event only when clipping actually
     rescaled the gradients (pre-clip norm exceeded ``max_norm``); batches
-    whose gradients were already inside the ball stay silent.  The
-    ambient metrics registry counts every check
-    (``train/grad_clip_checks``) and every rescale
-    (``train/grad_clip_steps``) — their ratio is the clip rate.
+    whose gradients were already inside the ball stay silent.
+    ``max_norm`` of ``None`` or ``0`` turns clipping off; a negative value
+    is rejected, since clipping to it would flip the gradient's sign.
     """
 
     def __init__(self, max_norm: float | None):
+        if max_norm is not None and max_norm < 0:
+            raise ValueError(f"grad_clip max_norm must be >= 0 (0 or None "
+                             f"disables clipping), got {max_norm}")
         self.max_norm = max_norm
 
     def on_after_backward(self, state: "EngineState") -> None:
         if not self.max_norm:
             return
-        registry = get_registry()
-        registry.counter("train/grad_clip_checks").inc()
         target = (state.optimizer.arena if state.optimizer.arena is not None
                   else state.optimizer.parameters)
         norm = clip_grad_norm(target, self.max_norm)
         state.grad_norm = norm
         if norm > self.max_norm:
-            registry.counter("train/grad_clip_steps").inc()
             state.bus.emit(GradClip(epoch=state.epoch + 1,
                                     batch=state.batch + 1,
                                     norm=norm, max_norm=self.max_norm))

@@ -36,7 +36,6 @@ from ..nn.optim import Adam
 from ..nn.tensor import Tensor
 from ..obs.events import ConsoleSink, EventBus, bus_scope, get_bus
 from ..obs.spans import span
-from ..obs.stats import get_registry
 from .callbacks import Callback, default_callbacks
 
 __all__ = ["Engine", "EngineState"]
@@ -138,10 +137,6 @@ class Engine:
                             shuffle=True, seed=seed,
                             target_scaler=dataset.supervised.scaler)
 
-        registry = get_registry()
-        batch_hist = registry.histogram("train/batch_seconds")
-        batch_counter = registry.counter("train/batches")
-
         with contextlib.ExitStack() as stack:
             # Nested instrumentation (loader gathers, kernel spans,
             # validation predicts, checkpoint announcements) reaches the
@@ -166,7 +161,6 @@ class Engine:
                                 >= config.max_batches_per_epoch):
                             break
                         state.batch = batch_index
-                        batch_start = time.perf_counter()
                         with span("train/batch", bus=bus,
                                   batch=batch_index + 1, size=len(x)):
                             with span("train/forward", bus=bus):
@@ -182,8 +176,6 @@ class Engine:
                                            state)
                             with span("train/optim", bus=bus):
                                 optimizer.step()
-                        batch_hist.observe(time.perf_counter() - batch_start)
-                        batch_counter.inc()
                         state.batch_loss = loss.item()
                         epoch_losses.append(state.batch_loss)
                         self._dispatch(callbacks, "on_batch_end", state)

@@ -48,6 +48,12 @@ class TestGRUSeq2Seq:
 
 
 class TestScheduledSampling:
+    @pytest.mark.parametrize("decay", [0.0, -1.0])
+    def test_nonpositive_decay_rejected(self, decay, small_adjacency):
+        with pytest.raises(ValueError, match="scheduled_sampling_decay"):
+            create_model("dcrnn", small_adjacency.shape[0], small_adjacency,
+                         scheduled_sampling_decay=decay)
+
     def test_probability_decays(self, data):
         ds, x, y = data
         model = create_model("dcrnn", ds.num_nodes, ds.adjacency, seed=0,

@@ -10,6 +10,7 @@ from repro.nn import Tensor, no_grad
 ALL_MODELS = sorted(MODEL_REGISTRY)
 TRAINABLE = [name for name in ALL_MODELS
              if name not in ("last-value", "historical-average")]
+SEQ2SEQ = ["dcrnn", "st-metanet", "fc-lstm", "gru-seq2seq"]
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,16 @@ class TestConstruction:
     def test_adjacency_shape_checked(self, small_adjacency):
         with pytest.raises(ValueError, match="adjacency"):
             create_model("stgcn", 99, small_adjacency)
+
+    @pytest.mark.parametrize("name", SEQ2SEQ)
+    def test_tf_ratio_validated(self, name, small_adjacency):
+        n = small_adjacency.shape[0]
+        for bad in (2.5, -0.2, float("nan")):
+            with pytest.raises(ValueError, match="tf_ratio"):
+                create_model(name, n, small_adjacency, tf_ratio=bad)
+        for edge in (0.0, 1.0):
+            assert create_model(name, n, small_adjacency,
+                                tf_ratio=edge).tf_ratio == edge
 
     @pytest.mark.parametrize("name", ALL_MODELS)
     def test_instantiation(self, name, setup):

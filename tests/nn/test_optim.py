@@ -1,11 +1,15 @@
 """Optimizers, schedulers, and gradient clipping."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.nn import Parameter, Tensor
+from repro.nn.arena import ParameterArena
 from repro.nn.optim import (SGD, Adam, AdamW, CosineAnnealingLR,
                             ExponentialLR, StepLR, clip_grad_norm)
+from repro.reference import reference_mode
 
 
 def quadratic_loss(param: Parameter) -> Tensor:
@@ -114,6 +118,18 @@ class TestClipGradNorm:
 
     def test_no_grads_returns_zero(self):
         assert clip_grad_norm([Parameter(np.zeros(2))], 1.0) == 0.0
+
+    @pytest.mark.parametrize("path", ["list", "arena", "arena-reference"])
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0])
+    def test_nonpositive_max_norm_rejected(self, path, max_norm):
+        param = Parameter(np.zeros(2))
+        arena = ParameterArena([("w", param)])
+        param.grad[:] = [3.0, 4.0]
+        context = (reference_mode("optim") if path == "arena-reference"
+                   else contextlib.nullcontext())
+        with context, pytest.raises(ValueError, match="max_norm"):
+            clip_grad_norm([param] if path == "list" else arena, max_norm)
+        np.testing.assert_array_equal(param.grad, [3.0, 4.0])
 
 
 class TestSchedulers:

@@ -7,10 +7,9 @@ import pytest
 from repro.obs import (EVENT_KINDS, BatchEnd, BenchCase, CacheHit,
                        CacheMiss, CheckpointSaved, ConsoleSink, DatasetBuild,
                        EpochEnd, EvalDone, EventBus, GradClip, JSONLSink,
-                       MemorySink, MetricsSnapshot, ProfileSnapshot,
-                       RunFinished, RunStarted, SpanEvent, bus_scope,
-                       event_from_record, event_to_record, get_bus,
-                       read_trace, validate_trace)
+                       MemorySink, ProfileSnapshot, RunFinished, RunStarted,
+                       SpanEvent, bus_scope, event_from_record,
+                       event_to_record, get_bus, read_trace, validate_trace)
 
 
 def sample_events():
@@ -42,12 +41,6 @@ def sample_events():
         SpanEvent(label="train/batch", span_id="2f", parent_id="1a",
                   t_start=1700000000.5, seconds=0.025, status="ok",
                   depth=2, thread=12345, attrs={"batch": 4}),
-        MetricsSnapshot(label="fit", counters={"train/batches": 6},
-                        gauges={"lr": 0.01},
-                        histograms={"train/batch_seconds": {
-                            "count": 6, "total": 0.9,
-                            "buckets": [0.01, 0.1],
-                            "counts": [0, 5, 1]}}),
     ]
 
 

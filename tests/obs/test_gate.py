@@ -8,7 +8,8 @@ import pytest
 
 from repro.obs import (EventBus, MemorySink, check_records, find_baselines,
                        load_bench_record)
-from repro.obs.gate import BENCH_SUITES, DEFAULT_TOLERANCE
+from repro.bench import SUITES
+from repro.obs.gate import DEFAULT_TOLERANCE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -152,7 +153,7 @@ class TestRecordIO:
 
     def test_repo_ships_all_four_baselines(self):
         found = find_baselines(REPO_ROOT)
-        assert set(found) == set(BENCH_SUITES)
+        assert set(found) == set(SUITES)
         for suite, path in found.items():
             record = load_bench_record(path)
             assert record["suite"] == suite
@@ -239,7 +240,7 @@ class TestRunAndCheck:
         assert report.skipped and report.passed
 
     def test_unknown_suite_raises(self):
-        from repro.obs.gate import run_suite
+        from repro.bench import run
 
         with pytest.raises(ValueError, match="unknown bench suite"):
-            run_suite("nope", "quick")
+            run("nope", "quick")

@@ -29,7 +29,7 @@ SMOKE_CASES = {
     "optim": ["adam_step", "rmsprop_step", "zero_grad"],
     "data": ["dataset_load", "window_build", "train_epoch",
              "resident_memory"],
-    "obs": ["span_noop_vs_recorded", "metrics_registry"],
+    "obs": ["span_noop_vs_recorded"],
 }
 
 

@@ -283,8 +283,7 @@ class TestBenchObsCommand:
         assert payload["suite"] == "obs"
         assert payload["mode"] == "quick"
         names = {case["name"] for case in payload["timings"]}
-        assert names == {"traced_train_step", "span_noop_vs_recorded",
-                         "metrics_registry"}
+        assert names == {"traced_train_step", "span_noop_vs_recorded"}
         (traced,) = [c for c in payload["timings"]
                      if c["name"] == "traced_train_step"]
         assert "overhead_pct" in traced["meta"]

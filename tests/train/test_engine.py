@@ -10,7 +10,7 @@ from repro.models import create_model
 from repro.nn import Module, Parameter, Tensor
 from repro.obs import EventBus, MemorySink
 from repro.train import (Callback, CheckpointCallback, Engine,
-                         default_callbacks)
+                         GradClipCallback, default_callbacks)
 
 FAST = TrainingConfig(epochs=2, batch_size=32, max_batches_per_epoch=3,
                       learning_rate=0.01)
@@ -116,6 +116,14 @@ class TestGradClipTelemetry:
                                      seed=0, bus=EventBus([sink]))
         assert sink.of_kind("grad_clip") == []
         assert len(history.train_losses) == config.epochs
+
+    def test_negative_max_norm_rejected(self, ci_dataset):
+        with pytest.raises(ValueError, match="max_norm"):
+            GradClipCallback(-1.0)
+        config = dataclasses.replace(FAST, grad_clip=-5.0)
+        with pytest.raises(ValueError, match="max_norm"):
+            Engine(config).fit(linear(ci_dataset), ci_dataset, seed=0)
+        GradClipCallback(None), GradClipCallback(0)     # both mean "off"
 
 
 class FrozenModel(Module):
