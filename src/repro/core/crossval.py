@@ -84,17 +84,9 @@ def rolling_origin_folds(dataset: LoadedDataset, n_folds: int = 3,
 def rolling_origin_evaluate(model_name: str, dataset: LoadedDataset,
                             config: TrainingConfig | None = None,
                             n_folds: int = 3, seed: int = 0,
-                            engine=None,
                             **model_hparams) -> list[RunResult]:
-    """Train & evaluate one model on every rolling-origin fold.
-
-    Every fold trains through the same :class:`repro.train.Engine`
-    (``engine=`` passes a pre-configured one to every
-    :func:`run_experiment` call).
-    """
-    results = []
-    for fold in rolling_origin_folds(dataset, n_folds):
-        results.append(run_experiment(model_name, fold.dataset, config,
-                                      seed=seed, engine=engine,
-                                      **model_hparams))
-    return results
+    """Train & evaluate one model on every rolling-origin fold, one
+    :func:`run_experiment` call per fold."""
+    return [run_experiment(model_name, fold.dataset, config, seed=seed,
+                           **model_hparams)
+            for fold in rolling_origin_folds(dataset, n_folds)]

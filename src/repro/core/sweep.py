@@ -37,15 +37,12 @@ class SweepResult:
 
 def grid_sweep(model_name: str, dataset: LoadedDataset,
                grid: dict[str, list], config: TrainingConfig | None = None,
-               seed: int = 0, verbose: bool = False,
-               engine=None) -> list[SweepResult]:
+               seed: int = 0, verbose: bool = False) -> list[SweepResult]:
     """Train one run per point of the Cartesian hyper-parameter grid.
 
-    Every point trains through the same :class:`repro.train.Engine`
-    (``engine=`` forwards a pre-configured one to every
-    :func:`run_experiment` call).  Returns sweep points sorted by
-    validation MAE (best first), so ``results[0].hparams`` is the selected
-    configuration — model selection never touches the test split.
+    Each point is one :func:`run_experiment` call.  Returns sweep points
+    sorted by validation MAE (best first), so ``results[0].hparams`` is the
+    selected configuration — model selection never touches the test split.
     """
     if not grid:
         raise ValueError("empty grid")
@@ -56,7 +53,7 @@ def grid_sweep(model_name: str, dataset: LoadedDataset,
         if verbose:
             print(f"[sweep] {model_name} {hparams}")
         run = run_experiment(model_name, dataset, config, seed=seed,
-                             engine=engine, **hparams)
+                             **hparams)
         results.append(SweepResult(hparams=hparams, run=run))
     results.sort(key=lambda r: r.val_mae)
     return results

@@ -19,11 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import functional as F
-from ..nn.losses import masked_mae
 from ..nn.module import Module, ModuleList
 from ..nn.layers import Linear
+from ..nn.layers.recurrent import step_stack
 from ..nn.tensor import Tensor
-from .base import TrafficModel, check_tf_ratio, register_model
+from .base import Seq2SeqModel, register_model
 from .graph_conv import DiffusionConv
 
 __all__ = ["DCRNN", "DCGRUCell"]
@@ -56,26 +56,26 @@ class DCGRUCell(Module):
 
 
 @register_model("dcrnn")
-class DCRNN(TrafficModel):
+class DCRNN(Seq2SeqModel):
     """Diffusion Convolutional Recurrent Neural Network (seq2seq)."""
+
+    TEACHER_SEED_OFFSET = 7919
 
     def __init__(self, num_nodes: int, adjacency: np.ndarray,
                  history: int = 12, horizon: int = 12, in_features: int = 2,
                  seed: int = 0, hidden_size: int = 16, num_layers: int = 2,
                  max_diffusion_step: int = 2, tf_ratio: float = 0.5,
                  scheduled_sampling_decay: float | None = None):
-        super().__init__(num_nodes, adjacency, history, horizon, in_features, seed)
+        super().__init__(num_nodes, adjacency, history, horizon, in_features,
+                         seed, tf_ratio)
         rng = np.random.default_rng(seed)
         self.hidden_size = hidden_size
         self.num_layers = num_layers
-        self.tf_ratio = check_tf_ratio(tf_ratio)
         decay = scheduled_sampling_decay
         if decay is not None and not decay > 0:
             raise ValueError(f"scheduled_sampling_decay must be > 0 (None "
                              f"keeps tf_ratio fixed), got {decay}")
         self.scheduled_sampling_decay = decay
-        self._global_step = 0
-        self._tf_rng = np.random.default_rng(seed + 7919)
         self.encoder = ModuleList(
             [DCGRUCell(adjacency, in_features if i == 0 else hidden_size,
                        hidden_size, max_diffusion_step, rng=rng)
@@ -87,36 +87,21 @@ class DCRNN(TrafficModel):
         self.projection = Linear(hidden_size, 1, rng=rng)
 
     # ------------------------------------------------------------------ #
+    def _step_shape(self, batch: int) -> tuple[int, ...]:
+        return (batch, self.num_nodes, 1)
+
     def _encode(self, x: Tensor) -> list[Tensor]:
-        batch = x.shape[0]
-        hidden = [Tensor(np.zeros((batch, self.num_nodes, self.hidden_size)))
+        hidden = [Tensor(np.zeros((x.shape[0], self.num_nodes,
+                                   self.hidden_size)))
                   for _ in range(self.num_layers)]
         for step in F.unbind(x, axis=1):
-            for layer, cell in enumerate(self.encoder):
-                hidden[layer] = cell(step, hidden[layer])
-                step = hidden[layer]
+            step_stack(self.encoder, step, hidden)
         return hidden
 
-    def _decode(self, hidden: list[Tensor], batch: int,
-                teacher: Tensor | None = None) -> Tensor:
-        go = Tensor(np.zeros((batch, self.num_nodes, 1)))
-        step_input = go
-        outputs = []
-        for t in range(self.horizon):
-            step = step_input
-            for layer, cell in enumerate(self.decoder):
-                hidden[layer] = cell(step, hidden[layer])
-                step = hidden[layer]
-            prediction = self.projection(step)         # (B, N, 1)
-            outputs.append(prediction.squeeze(2))
-            use_teacher = (teacher is not None and self.training
-                           and self._tf_rng.random()
-                           < self._teacher_probability())
-            if use_teacher:
-                step_input = teacher[:, t].expand_dims(2)
-            else:
-                step_input = prediction
-        return F.stack(outputs, axis=1)                # (B, T, N)
+    def _decode_step(self, step_input: Tensor, hidden: list[Tensor]
+                     ) -> tuple[Tensor, list[Tensor]]:
+        top = step_stack(self.decoder, step_input, hidden)
+        return self.projection(top), hidden            # (B, N, 1)
 
     def _teacher_probability(self) -> float:
         """Fixed ratio, or the DCRNN inverse-sigmoid curriculum."""
@@ -124,15 +109,3 @@ class DCRNN(TrafficModel):
             return self.tf_ratio
         k = self.scheduled_sampling_decay
         return k / (k + np.exp(min(self._global_step / k, 500.0)))
-
-    def forward(self, x: Tensor) -> Tensor:
-        self._validate_input(x)
-        hidden = self._encode(x)
-        return self._decode(hidden, x.shape[0])
-
-    def training_loss(self, x: Tensor, y_scaled: Tensor,
-                      null_mask: np.ndarray | None = None) -> Tensor:
-        hidden = self._encode(x)
-        prediction = self._decode(hidden, x.shape[0], teacher=y_scaled)
-        self._global_step += 1
-        return masked_mae(prediction, y_scaled, null_value=None)

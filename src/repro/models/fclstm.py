@@ -13,29 +13,29 @@ import numpy as np
 
 from ..nn import functional as F
 from ..nn.layers import Linear
-from ..nn.layers.recurrent import LSTMCell
-from ..nn.losses import masked_mae
+from ..nn.layers.recurrent import LSTMCell, lstm_step_stack
 from ..nn.module import ModuleList
 from ..nn.tensor import Tensor
-from .base import TrafficModel, check_tf_ratio, register_model
+from .base import Seq2SeqModel, register_model
 
 __all__ = ["FCLSTM"]
 
 
 @register_model("fc-lstm")
-class FCLSTM(TrafficModel):
+class FCLSTM(Seq2SeqModel):
     """Encoder-decoder LSTM over the flattened sensor vector."""
+
+    TEACHER_SEED_OFFSET = 4219
 
     def __init__(self, num_nodes: int, adjacency: np.ndarray,
                  history: int = 12, horizon: int = 12, in_features: int = 2,
                  seed: int = 0, hidden_size: int = 32, num_layers: int = 2,
                  tf_ratio: float = 0.5):
-        super().__init__(num_nodes, adjacency, history, horizon, in_features, seed)
+        super().__init__(num_nodes, adjacency, history, horizon, in_features,
+                         seed, tf_ratio)
         rng = np.random.default_rng(seed)
         self.hidden_size = hidden_size
         self.num_layers = num_layers
-        self.tf_ratio = check_tf_ratio(tf_ratio)
-        self._tf_rng = np.random.default_rng(seed + 4219)
         flat_in = num_nodes * in_features
         self.encoder = ModuleList(
             [LSTMCell(flat_in if i == 0 else hidden_size, hidden_size,
@@ -45,7 +45,10 @@ class FCLSTM(TrafficModel):
                       rng=rng) for i in range(num_layers)])
         self.projection = Linear(hidden_size, num_nodes, rng=rng)
 
-    def _run(self, x: Tensor, teacher: Tensor | None) -> Tensor:
+    def _step_shape(self, batch: int) -> tuple[int, ...]:
+        return (batch, self.num_nodes)
+
+    def _encode(self, x: Tensor) -> tuple[list[Tensor], list[Tensor]]:
         batch = x.shape[0]
         flat = x.reshape(batch, self.history,
                          self.num_nodes * self.in_features)
@@ -54,29 +57,11 @@ class FCLSTM(TrafficModel):
         c = [Tensor(np.zeros((batch, self.hidden_size)))
              for _ in range(self.num_layers)]
         for step in F.unbind(flat, axis=1):
-            for layer, cell in enumerate(self.encoder):
-                h[layer], c[layer] = cell(step, (h[layer], c[layer]))
-                step = h[layer]
+            lstm_step_stack(self.encoder, step, h, c)
+        return h, c
 
-        step_input = Tensor(np.zeros((batch, self.num_nodes)))
-        outputs = []
-        for t in range(self.horizon):
-            step = step_input
-            for layer, cell in enumerate(self.decoder):
-                h[layer], c[layer] = cell(step, (h[layer], c[layer]))
-                step = h[layer]
-            prediction = self.projection(step)       # (B, N)
-            outputs.append(prediction)
-            use_teacher = (teacher is not None and self.training
-                           and self._tf_rng.random() < self.tf_ratio)
-            step_input = teacher[:, t] if use_teacher else prediction
-        return F.stack(outputs, axis=1)
-
-    def forward(self, x: Tensor) -> Tensor:
-        self._validate_input(x)
-        return self._run(x, teacher=None)
-
-    def training_loss(self, x: Tensor, y_scaled: Tensor,
-                      null_mask: np.ndarray | None = None) -> Tensor:
-        return masked_mae(self._run(x, teacher=y_scaled), y_scaled,
-                          null_value=None)
+    def _decode_step(self, step_input: Tensor,
+                     state: tuple[list[Tensor], list[Tensor]]
+                     ) -> tuple[Tensor, tuple[list[Tensor], list[Tensor]]]:
+        top = lstm_step_stack(self.decoder, step_input, *state)
+        return self.projection(top), state          # (B, N)

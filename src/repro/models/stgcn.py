@@ -143,6 +143,7 @@ class STGCN(TrafficModel):
                       null_mask: np.ndarray | None = None) -> Tensor:
         """Many-to-one training: only the next step supervises the model.
         With the ablation head, all horizons supervise at once."""
+        self._validate_input(x)
         if self.multi_step_head:
             return masked_mae(self.forward(x), y_scaled, null_value=None)
         prediction = self._single_step(x)

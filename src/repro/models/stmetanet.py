@@ -22,10 +22,9 @@ import numpy as np
 from ..nn import functional as F
 from ..nn import init
 from ..nn.layers import Linear
-from ..nn.losses import masked_mae
-from ..nn.module import Module, ModuleList, Parameter
+from ..nn.module import Module, Parameter
 from ..nn.tensor import Tensor
-from .base import TrafficModel, check_tf_ratio, register_model
+from .base import Seq2SeqModel, register_model
 
 __all__ = ["STMetaNet", "MetaGRUCell", "MetaGAT"]
 
@@ -130,18 +129,19 @@ class MetaGAT(Module):
 
 
 @register_model("st-metanet")
-class STMetaNet(TrafficModel):
+class STMetaNet(Seq2SeqModel):
     """Urban traffic prediction via deep meta learning (seq2seq)."""
+
+    TEACHER_SEED_OFFSET = 104729
 
     def __init__(self, num_nodes: int, adjacency: np.ndarray,
                  history: int = 12, horizon: int = 12, in_features: int = 2,
                  seed: int = 0, hidden_size: int = 16, embed_dim: int = 4,
                  tf_ratio: float = 0.5):
-        super().__init__(num_nodes, adjacency, history, horizon, in_features, seed)
+        super().__init__(num_nodes, adjacency, history, horizon, in_features,
+                         seed, tf_ratio)
         rng = np.random.default_rng(seed)
         self.hidden_size = hidden_size
-        self.tf_ratio = check_tf_ratio(tf_ratio)
-        self._tf_rng = np.random.default_rng(seed + 104729)
 
         static = _node_static_features(adjacency)
         self.register_buffer("static_features", static)
@@ -158,31 +158,18 @@ class STMetaNet(TrafficModel):
         return F.concat([Tensor(self.static_features), self.node_embedding],
                         axis=-1)
 
-    def _run(self, x: Tensor, teacher: Tensor | None) -> Tensor:
-        batch = x.shape[0]
+    def _step_shape(self, batch: int) -> tuple[int, ...]:
+        return (batch, self.num_nodes, 1)
+
+    def _encode(self, x: Tensor) -> tuple[Tensor, Tensor]:
         meta = self._meta()
-        h = Tensor(np.zeros((batch, self.num_nodes, self.hidden_size)))
+        h = Tensor(np.zeros((x.shape[0], self.num_nodes, self.hidden_size)))
         for step in F.unbind(x, axis=1):
             h = self.encoder(step, h, meta)
-        h = self.gat(h, meta)
+        return self.gat(h, meta), meta
 
-        step_input = Tensor(np.zeros((batch, self.num_nodes, 1)))
-        outputs = []
-        for t in range(self.horizon):
-            h = self.decoder(step_input, h, meta)
-            prediction = self.projection(h)             # (B, N, 1)
-            outputs.append(prediction.squeeze(2))
-            use_teacher = (teacher is not None and self.training
-                           and self._tf_rng.random() < self.tf_ratio)
-            step_input = (teacher[:, t].expand_dims(2) if use_teacher
-                          else prediction)
-        return F.stack(outputs, axis=1)
-
-    def forward(self, x: Tensor) -> Tensor:
-        self._validate_input(x)
-        return self._run(x, teacher=None)
-
-    def training_loss(self, x: Tensor, y_scaled: Tensor,
-                      null_mask: np.ndarray | None = None) -> Tensor:
-        prediction = self._run(x, teacher=y_scaled)
-        return masked_mae(prediction, y_scaled, null_value=None)
+    def _decode_step(self, step_input: Tensor, state: tuple[Tensor, Tensor]
+                     ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        h, meta = state
+        h = self.decoder(step_input, h, meta)
+        return self.projection(h), (h, meta)       # (B, N, 1)

@@ -14,7 +14,28 @@ from .. import init
 from ..module import Module, Parameter
 from ..tensor import Tensor
 
-__all__ = ["GRUCell", "GRU", "LSTMCell", "LSTM"]
+__all__ = ["GRUCell", "GRU", "LSTMCell", "LSTM", "step_stack",
+           "lstm_step_stack"]
+
+
+def step_stack(cells, x: Tensor, hidden: list[Tensor]) -> Tensor:
+    """One time step up a stack of ``cell(x, h) -> h`` cells.
+
+    Layer ``i`` reads layer ``i-1``'s new state; ``hidden`` is updated in
+    place and the top layer's state is returned.
+    """
+    for layer, cell in enumerate(cells):
+        hidden[layer] = x = cell(x, hidden[layer])
+    return x
+
+
+def lstm_step_stack(cells, x: Tensor, h: list[Tensor],
+                    c: list[Tensor]) -> Tensor:
+    """:func:`step_stack` for LSTM cells, updating ``h`` and ``c`` in place."""
+    for layer, cell in enumerate(cells):
+        h[layer], c[layer] = cell(x, (h[layer], c[layer]))
+        x = h[layer]
+    return x
 
 
 class GRUCell(Module):
@@ -103,14 +124,10 @@ class LSTM(Module):
                  for _ in range(self.num_layers)]
         else:
             h, c = [list(s) for s in state]
-        outputs = []
         # unbind makes the T per-step slices share one gradient buffer
         # instead of T full-size scatters on the backward pass.
-        for step in F.unbind(x, axis=1):
-            for layer, cell in enumerate(self.cells):
-                h[layer], c[layer] = cell(step, (h[layer], c[layer]))
-                step = h[layer]
-            outputs.append(step)
+        outputs = [lstm_step_stack(self.cells, step, h, c)
+                   for step in F.unbind(x, axis=1)]
         return F.stack(outputs, axis=1), (h, c)
 
 
@@ -137,10 +154,6 @@ class GRU(Module):
             h0 = [Tensor(np.zeros((batch, self.hidden_size)))
                   for _ in range(self.num_layers)]
         hidden = list(h0)
-        outputs = []
-        for step in F.unbind(x, axis=1):
-            for layer, cell in enumerate(self.cells):
-                hidden[layer] = cell(step, hidden[layer])
-                step = hidden[layer]
-            outputs.append(step)
+        outputs = [step_stack(self.cells, step, hidden)
+                   for step in F.unbind(x, axis=1)]
         return F.stack(outputs, axis=1), hidden

@@ -6,6 +6,7 @@ import pytest
 from repro.models import (MODEL_REGISTRY, PAPER_MODELS, create_model,
                           model_names)
 from repro.nn import Tensor, no_grad
+from repro.nn.losses import masked_mae
 
 ALL_MODELS = sorted(MODEL_REGISTRY)
 TRAINABLE = [name for name in ALL_MODELS
@@ -116,6 +117,21 @@ class TestForwardContract:
         with pytest.raises(ValueError):
             model(Tensor(np.zeros((2, 12, ds.num_nodes))))     # wrong ndim
 
+    @pytest.mark.parametrize("name", TRAINABLE)
+    def test_training_loss_validates_input(self, name, setup):
+        """Both entry points reject a window the model was not built for."""
+        ds, _, _ = setup
+        n = ds.num_nodes
+        model = create_model(name, n, ds.adjacency, seed=0)
+        cases = [((2, 6, n, 2), (2, 12, n), "history mismatch"),
+                 ((2, 12, n - 1, 2), (2, 12, n - 1), "node mismatch")]
+        for x_shape, y_shape, message in cases:
+            x, y = Tensor(np.zeros(x_shape)), Tensor(np.zeros(y_shape))
+            with pytest.raises(ValueError, match=message):
+                model(x)
+            with pytest.raises(ValueError, match=message):
+                model.training_loss(x, y)
+
 
 class TestTrainingContract:
     @pytest.mark.parametrize("name", TRAINABLE)
@@ -143,8 +159,7 @@ class TestTrainingContract:
         ds, x, y_scaled = setup
         # Disable teacher forcing so both loss evaluations see the same
         # computation (otherwise the comparison is stochastic).
-        hparams = ({"tf_ratio": 0.0}
-                   if name in ("dcrnn", "st-metanet") else {})
+        hparams = {"tf_ratio": 0.0} if name in SEQ2SEQ else {}
         model = create_model(name, ds.num_nodes, ds.adjacency, seed=0,
                              **hparams)
         optimizer = SGD(model.parameters(), lr=1e-3)
@@ -160,6 +175,37 @@ class TestTrainingContract:
         ds, _, _ = setup
         model = create_model(name, ds.num_nodes, ds.adjacency, seed=0)
         assert model.num_parameters() > 0
+
+
+class TestSeq2SeqRollout:
+    """The four seq2seq models share one teacher-forced rollout."""
+
+    @pytest.mark.parametrize("name", SEQ2SEQ)
+    def test_free_running_loss_matches_forward(self, name, setup):
+        ds, x, y_scaled = setup
+        model = create_model(name, ds.num_nodes, ds.adjacency, seed=0,
+                             tf_ratio=0.0)
+        model.train()
+        loss = model.training_loss(x, y_scaled).data
+        expected = masked_mae(model(x), y_scaled, null_value=None).data
+        np.testing.assert_array_equal(loss, expected)
+
+    @pytest.mark.parametrize("name", SEQ2SEQ)
+    def test_teacher_forcing_changes_loss(self, name, setup):
+        ds, x, y_scaled = setup
+        losses = [create_model(name, ds.num_nodes, ds.adjacency, seed=0,
+                               tf_ratio=ratio).training_loss(x, y_scaled).item()
+                  for ratio in (1.0, 0.0)]
+        assert losses[0] != pytest.approx(losses[1])
+
+    @pytest.mark.parametrize("name", SEQ2SEQ)
+    def test_eval_forward_ignores_teacher_ratio(self, name, setup):
+        ds, x, _ = setup
+        model = create_model(name, ds.num_nodes, ds.adjacency, seed=0,
+                             tf_ratio=1.0)
+        with no_grad():
+            model.eval()
+            np.testing.assert_array_equal(model(x).data, model(x).data)
 
 
 class TestStatePersistence:

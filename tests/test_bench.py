@@ -3,10 +3,10 @@
 Tier-1 guards against the benchmarks rotting: each suite's quick preset
 must run end to end through ``repro bench <suite>``, print the banner and
 table, write its JSON record and emit well-formed ``bench_case``
-telemetry, and the registry must list exactly the cases of the committed
-``BENCH_<suite>.json`` baseline.  Speedup *thresholds* are asserted only
-by the full-size, opt-in ``benchmarks/bench_suites.py`` (tiny quick-mode
-shapes are timing noise).
+telemetry that matches the record and the printed table, and the registry
+must list exactly the cases of the committed ``BENCH_<suite>.json``
+baseline.  Speedup *thresholds* are asserted only by the full-size, opt-in
+``benchmarks/bench_suites.py`` (tiny quick-mode shapes are timing noise).
 """
 
 import json
@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import SUITES, BenchTiming, paired, run
+from repro.bench import (SUITES, BenchTiming, paired, render_timings, run,
+                         timings_to_record)
 from repro.cli import main
-from repro.obs import EventBus, read_trace
+from repro.obs import EventBus, MemorySink, read_trace
 from repro.obs.gate import load_bench_record
 from repro.reference import reference_active
 
@@ -29,7 +30,7 @@ SMOKE_CASES = {
     "optim": ["adam_step", "rmsprop_step", "zero_grad"],
     "data": ["dataset_load", "window_build", "train_epoch",
              "resident_memory"],
-    "obs": ["span_noop_vs_recorded"],
+    "obs": ["traced_train_step", "span_noop_vs_recorded"],
 }
 
 
@@ -61,18 +62,24 @@ def test_quick_smoke(suite, tmp_path, capsys):
     events = read_trace(trace_path)
     assert [(e.kind, e.suite, e.mode) for e in events] == [
         ("bench_case", suite, "quick")] * len(cases)
-    for event, timing in zip(events, record["timings"]):
-        assert set(timing) == {"name", "reference_seconds", "fast_seconds",
-                               "speedup", "meta"}
-        assert timing["reference_seconds"] > 0
-        assert timing["fast_seconds"] > 0
-        assert timing["speedup"] > 0
-        assert timing["meta"]
-        assert event.name == timing["name"]
-        assert round(event.reference_seconds, 6) == timing["reference_seconds"]
-        assert round(event.fast_seconds, 6) == timing["fast_seconds"]
-        assert round(event.speedup, 2) == timing["speedup"]
-        assert event.meta == timing["meta"]
+    # The trace keeps full precision: the JSON record and the printed
+    # table are exactly what those timings render to.
+    timings = [BenchTiming(e.name, e.reference_seconds, e.fast_seconds,
+                           e.meta) for e in events]
+    assert [e.speedup for e in events] == [t.speedup for t in timings]
+    assert record == json.loads(json.dumps(
+        timings_to_record(timings, mode="quick", suite=suite)))
+    assert render_timings(timings) in out
+    for timing in timings:
+        assert timing.reference_seconds > 0
+        assert timing.fast_seconds > 0
+        assert timing.speedup > 0
+        assert timing.meta
+    meta = {t.name: t.meta for t in timings}
+    if suite == "optim":
+        assert {m["parameters"] for m in meta.values()} == {60}
+    if suite == "obs":
+        assert "overhead_pct" in meta["traced_train_step"]
 
 
 @pytest.mark.parametrize("suite", list(SUITES))
@@ -85,9 +92,24 @@ def test_rejects_unknown_mode_and_case(suite, capsys):
     assert "unknown bench case" in capsys.readouterr().err
 
 
+def test_optim_suite_covers_every_optimizer():
+    assert {"adam_step", "adamw_step", "sgd_step", "rmsprop_step",
+            "adagrad_step", "clip_grad_norm", "zero_grad"} <= set(
+        SUITES["optim"].cases)
+
+
 def test_span_case_meta_reports_per_span_cost():
-    (timing,) = run("obs", "quick", bus=EventBus(),
+    """In process, too: the emitted event carries the exact timing."""
+    sink = MemorySink()
+    (timing,) = run("obs", "quick", bus=EventBus([sink]),
                     cases=["span_noop_vs_recorded"])
+    (event,) = sink.of_kind("bench_case")
+    assert (event.suite, event.mode, event.name) == ("obs", "quick",
+                                                     timing.name)
+    assert event.reference_seconds == timing.reference_seconds
+    assert event.fast_seconds == timing.fast_seconds
+    assert event.speedup == timing.speedup
+    assert event.meta == timing.meta
     assert timing.meta["spans"] == SUITES["obs"].modes["quick"]["spans"]
     assert timing.meta["noop_ns_per_span"] > 0
     assert timing.meta["recorded_ns_per_span"] > 0
