@@ -17,7 +17,6 @@ See ``docs/performance.md``.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from importlib import import_module
@@ -26,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..artifacts import write_json
 from ..obs.events import BenchCase, EventBus, get_bus
 from ..reference import reference_mode
 
@@ -214,9 +214,8 @@ def timings_to_record(timings: list[BenchTiming], mode: str,
 def write_bench_json(timings: list[BenchTiming], path: str | Path,
                      mode: str, suite: str) -> None:
     """Write :func:`timings_to_record` to ``path`` (pretty-printed)."""
-    record = timings_to_record(timings, mode, suite)
-    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_json(path, timings_to_record(timings, mode, suite), indent=2,
+               sort_keys=True)
 
 
 def render_timings(timings: list[BenchTiming]) -> str:

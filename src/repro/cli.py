@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .bench import SUITES
-from .core import (TrainingConfig, aggregate_runs, fig1_table, fig2_table,
+from .core import (BenchmarkMatrix, TrainingConfig, fig1_table, fig2_table,
                    run_experiment, save_results, table3)
 from .datasets import DATASETS, dataset_names, load_dataset
 from .datasets.io import save_dataset
@@ -232,34 +232,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    from .obs import EventBus, JSONLSink
-
     config = TrainingConfig(epochs=args.epochs,
                             max_batches_per_epoch=args.max_batches)
-    trace_dir = Path(args.trace) if args.trace else None
-
-    def traced_run(model_name, data, seed):
-        if trace_dir is None:
-            return run_experiment(model_name, data, config, seed=seed)
-        stem = f"{model_name}_{data.spec.name}_seed{seed}"
-        bus = EventBus([JSONLSink(trace_dir / f"{stem}.jsonl")])
-        try:
-            return run_experiment(
-                model_name, data, config, seed=seed, bus=bus,
-                manifest_path=str(trace_dir / f"{stem}.run.json"))
-        finally:
-            bus.close()
-
+    matrix = BenchmarkMatrix(args.scale, config, args.repeats,
+                             trace_dir=args.trace)
     all_results = []
     for dataset_name in args.datasets:
-        data = load_dataset(dataset_name, scale=args.scale)
         results = []
         for model_name in args.models:
             print(f"[{dataset_name}] {model_name}: "
                   f"{args.repeats} repeats ...", flush=True)
-            runs = [traced_run(model_name, data, seed)
-                    for seed in range(args.repeats)]
-            results.append(aggregate_runs(runs))
+            results.append(matrix.cell(model_name, dataset_name))
         all_results.extend(results)
         print()
         print(fig1_table(results, dataset_name))
@@ -271,8 +254,8 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     if args.save:
         save_results(all_results, args.save)
         print(f"Saved {len(all_results)} cells to {args.save}")
-    if trace_dir is not None:
-        print(f"Per-run traces + manifests in {trace_dir}")
+    if args.trace:
+        print(f"Per-run traces + manifests in {args.trace}")
     return 0
 
 

@@ -7,11 +7,11 @@ them without re-running inference.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import atomic_write, read_archive, write_archive
 from ..datasets.catalog import LoadedDataset
 from ..models.base import TrafficModel
 from .experiment import predict
@@ -33,21 +33,17 @@ def export_predictions(model: TrafficModel, dataset: LoadedDataset,
         "history": dataset.supervised.config.history,
         "inference_seconds": elapsed,
     }
-    np.savez_compressed(
-        Path(path),
-        prediction=prediction,
-        target=split.y,
-        start_index=split.start_index,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    write_archive(path, dict(prediction=prediction, target=split.y,
+                             start_index=split.start_index),
+                  meta, compress=True)
 
 
 def load_predictions(path: str | Path
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Load (prediction, target, start_index, metadata)."""
-    with np.load(Path(path)) as archive:
-        meta = json.loads(bytes(archive["meta"]).decode())
-        return (archive["prediction"], archive["target"],
-                archive["start_index"], meta)
+    arrays, meta = read_archive(path)
+    return (arrays["prediction"], arrays["target"], arrays["start_index"],
+            meta)
 
 
 def predictions_to_csv(path_npz: str | Path, path_csv: str | Path,
@@ -58,12 +54,12 @@ def predictions_to_csv(path_npz: str | Path, path_csv: str | Path,
     if not 0 <= horizon_step < horizon:
         raise ValueError(
             f"horizon_step {horizon_step} outside [0, {horizon})")
-    lines = ["series_position,sensor,prediction,target"]
     num_samples, _, nodes = prediction.shape
-    for sample in range(num_samples):
-        position = start_index[sample] + horizon_step
-        for node in range(nodes):
-            lines.append(f"{position},{node},"
-                         f"{prediction[sample, horizon_step, node]:.6f},"
-                         f"{target[sample, horizon_step, node]:.6f}")
-    Path(path_csv).write_text("\n".join(lines) + "\n")
+    with atomic_write(path_csv, "w") as stream:
+        stream.write("series_position,sensor,prediction,target\n")
+        for sample in range(num_samples):
+            position = start_index[sample] + horizon_step
+            for node in range(nodes):
+                stream.write(f"{position},{node},"
+                             f"{prediction[sample, horizon_step, node]:.6f},"
+                             f"{target[sample, horizon_step, node]:.6f}\n")

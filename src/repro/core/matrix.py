@@ -59,11 +59,7 @@ class BenchmarkMatrix:
         self.config = config or TrainingConfig()
         self.repeats = repeats
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        if self.cache_dir:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.trace_dir = Path(trace_dir) if trace_dir else None
-        if self.trace_dir:
-            self.trace_dir.mkdir(parents=True, exist_ok=True)
         from ..train.engine import Engine
         self.engine = Engine(self.config)
         self._datasets: dict[str, LoadedDataset] = {}

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import write_json
 from .experiment import RunResult
 from .metrics import HorizonMetrics
 
@@ -125,7 +126,7 @@ def save_results(results: list[AggregateResult], path: str | Path) -> None:
             "inference_seconds": _summary_to_json(r.inference_seconds),
             "num_parameters": r.num_parameters,
         })
-    Path(path).write_text(json.dumps(payload, indent=2))
+    write_json(path, payload, indent=2)
 
 
 def load_results(path: str | Path) -> list[AggregateResult]:

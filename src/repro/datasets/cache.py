@@ -15,8 +15,9 @@ Layout and knobs
 ----------------
 Entries live under ``~/.cache/repro`` (one ``<name>_<scale>_<key>.npz``
 per world), overridable with ``REPRO_CACHE_DIR``; set
-``REPRO_DATA_CACHE=0`` to disable caching entirely.  Writes are atomic
-(temp file + rename), so concurrent builders never observe a torn entry.
+``REPRO_DATA_CACHE=0`` to disable caching entirely.  Writes go through
+:func:`repro.artifacts.atomic_write` (temp file + rename), so concurrent
+builders never observe a torn entry.
 
 Invalidation
 ------------
@@ -32,9 +33,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+from ..artifacts import read_archive
 
 __all__ = ["CACHE_FORMAT_VERSION", "CacheEntry", "DatasetCache",
            "cache_enabled", "default_cache_dir", "dataset_cache_key"]
@@ -146,17 +148,7 @@ class DatasetCache:
 
         with span("data/cache_put", dataset=dataset.spec.name, key=key):
             path = self.path_for(dataset.spec.name, dataset.scale, key)
-            self.directory.mkdir(parents=True, exist_ok=True)
-            # The suffix must be ``.npz`` — np.savez appends one otherwise
-            # and the rename would promote an empty placeholder file.
-            handle, tmp_name = tempfile.mkstemp(dir=self.directory,
-                                                suffix=".npz")
-            os.close(handle)
-            try:
-                save_dataset(dataset, tmp_name)
-                os.replace(tmp_name, path)
-            finally:
-                Path(tmp_name).unlink(missing_ok=True)
+            save_dataset(dataset, path)
         return path
 
     def entries(self) -> list[CacheEntry]:
@@ -170,21 +162,25 @@ class DatasetCache:
         return entries
 
     def info(self, key: str) -> dict:
-        """Archive metadata of the entry whose key starts with ``key``."""
-        import numpy as np
-
-        for entry in self.entries():
-            if entry.key.startswith(key) or entry.path.name.startswith(key):
-                with np.load(entry.path) as payload:
-                    meta = json.loads(bytes(payload["meta"]).decode())
-                    shapes = {name: list(payload[name].shape)
-                              for name in payload.files if name != "meta"}
-                return {"path": str(entry.path), "key": entry.key,
-                        "size_bytes": entry.size_bytes,
-                        "spec": meta["spec"], "scale": meta["scale"],
-                        "window": meta["window"], "arrays": shapes}
-        raise KeyError(f"no cache entry matching {key!r} "
-                       f"in {self.directory}")
+        """Archive metadata of the one entry whose key (or file name)
+        starts with ``key``; ``KeyError`` if none or several match."""
+        matches = [entry for entry in self.entries()
+                   if entry.key.startswith(key)
+                   or entry.path.name.startswith(key)]
+        if not matches:
+            raise KeyError(f"no cache entry matching {key!r} "
+                           f"in {self.directory}")
+        if len(matches) > 1:
+            raise KeyError(f"cache key {key!r} is ambiguous, it matches "
+                           + ", ".join(entry.key for entry in matches))
+        (entry,) = matches
+        arrays, meta = read_archive(entry.path)
+        return {"path": str(entry.path), "key": entry.key,
+                "size_bytes": entry.size_bytes,
+                "spec": meta["spec"], "scale": meta["scale"],
+                "window": meta["window"],
+                "arrays": {name: list(value.shape)
+                           for name, value in arrays.items()}}
 
     def clear(self) -> tuple[int, int]:
         """Delete every entry; returns (entries removed, bytes freed)."""

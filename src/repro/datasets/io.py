@@ -9,12 +9,12 @@ every built world through this module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import read_archive, write_archive
 from ..graph.road_network import RoadNetwork
 from .catalog import DatasetSpec, LoadedDataset
 from .generator import SimulationResult
@@ -30,7 +30,6 @@ def save_dataset(dataset: LoadedDataset, path: str | Path) -> None:
     zero-copy sliding views under the lazy pipeline, while storing them
     would multiply the file size ~24x.
     """
-    path = Path(path)
     network = dataset.network
     edges = np.array([(src, dst, attrs["distance"])
                       for src, dst, attrs in network.graph.edges(data=True)])
@@ -41,9 +40,7 @@ def save_dataset(dataset: LoadedDataset, path: str | Path) -> None:
         "window": asdict(dataset.supervised.config),
         "incident_log": [list(entry) for entry in sim.incident_log],
     }
-    np.savez_compressed(
-        path,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+    write_archive(path, dict(
         edges=edges,
         positions=network.positions,
         free_flow_speed=network.free_flow_speed,
@@ -56,37 +53,31 @@ def save_dataset(dataset: LoadedDataset, path: str | Path) -> None:
         time_of_day=sim.time_of_day,
         day_of_week=sim.day_of_week,
         missing_mask=sim.missing_mask,
-    )
+    ), meta, compress=True)
 
 
 def load_saved_dataset(path: str | Path) -> LoadedDataset:
     """Rebuild a :class:`LoadedDataset` saved by :func:`save_dataset`."""
     import networkx as nx
 
-    path = Path(path)
-    with np.load(path) as payload:
-        meta = json.loads(bytes(payload["meta"]).decode())
-        edges = payload["edges"]
-        positions = payload["positions"]
-        free_flow = payload["free_flow_speed"]
-        capacity = payload["capacity"]
-        adjacency = payload["adjacency"]
-        sim = SimulationResult(
-            density=payload["density"],
-            speed=payload["speed"],
-            flow=payload["flow"],
-            timestamps=payload["timestamps"],
-            time_of_day=payload["time_of_day"],
-            day_of_week=payload["day_of_week"],
-            missing_mask=payload["missing_mask"],
-            incident_log=[tuple(entry) for entry in meta["incident_log"]])
+    payload, meta = read_archive(path)
+    sim = SimulationResult(
+        density=payload["density"],
+        speed=payload["speed"],
+        flow=payload["flow"],
+        timestamps=payload["timestamps"],
+        time_of_day=payload["time_of_day"],
+        day_of_week=payload["day_of_week"],
+        missing_mask=payload["missing_mask"],
+        incident_log=[tuple(entry) for entry in meta["incident_log"]])
 
     graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(positions)))
-    for src, dst, distance in edges:
+    graph.add_nodes_from(range(len(payload["positions"])))
+    for src, dst, distance in payload["edges"]:
         graph.add_edge(int(src), int(dst), distance=float(distance))
-    network = RoadNetwork(graph=graph, positions=positions,
-                          free_flow_speed=free_flow, capacity=capacity)
+    network = RoadNetwork(graph=graph, positions=payload["positions"],
+                          free_flow_speed=payload["free_flow_speed"],
+                          capacity=payload["capacity"])
 
     spec = DatasetSpec(**meta["spec"])
     window = WindowConfig(**meta["window"])
@@ -95,5 +86,5 @@ def load_saved_dataset(path: str | Path) -> LoadedDataset:
                               day_of_week=sim.day_of_week)
 
     return LoadedDataset(spec=spec, scale=meta["scale"], network=network,
-                         adjacency=adjacency, simulation=sim,
+                         adjacency=payload["adjacency"], simulation=sim,
                          supervised=supervised)

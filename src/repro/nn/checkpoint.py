@@ -3,24 +3,23 @@
 Paper-scale runs (hundreds of epochs on 200+ sensors) need restartability;
 a checkpoint bundles the model state dict, the optimizer's mutable
 buffers, and arbitrary metadata (epoch counter, best validation score) in
-one ``.npz`` archive.
+one ``.npz`` archive, written atomically through :mod:`repro.artifacts`
+to exactly the given path.
 
 Optimizer state is stored arena-style: each buffer family (Adam moments,
 SGD velocity, RMSprop square averages, Adagrad accumulators) is one flat
 array, accompanied by a JSON ``spec`` recording every parameter's
 name/shape/offset inside it — the same layout
-:class:`repro.nn.arena.ParameterArena` uses in memory.  The loader also
-accepts the pre-arena format (enumerated ``m{i}``/``v{i}``/``velocity{i}``
-keys), so old archives keep loading.
+:class:`repro.nn.arena.ParameterArena` uses in memory.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import pack_json, read_archive, unpack_json, write_archive
 from .module import Module
 from .optim.adam import Adam
 from .optim.optimizer import Optimizer
@@ -77,7 +76,7 @@ def optimizer_state(optimizer: Optimizer) -> dict[str, np.ndarray]:
     """
     state: dict[str, np.ndarray] = {"lr": np.asarray(optimizer.lr)}
     spec = {"class": type(optimizer).__name__, "params": _build_spec(optimizer)}
-    state["spec"] = np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8)
+    state["spec"] = pack_json(spec)
     if isinstance(optimizer, Adam):
         state["step_count"] = np.asarray(optimizer._step_count)
     for attr, key in _buffer_fields(optimizer).items():
@@ -85,9 +84,11 @@ def optimizer_state(optimizer: Optimizer) -> dict[str, np.ndarray]:
     return state
 
 
-def _load_new_format(optimizer: Optimizer,
-                     state: dict[str, np.ndarray]) -> None:
-    spec = json.loads(bytes(np.asarray(state["spec"])).decode())
+def load_optimizer_state(optimizer: Optimizer,
+                         state: dict[str, np.ndarray]) -> None:
+    """Restore buffers extracted by :func:`optimizer_state` (in place)."""
+    optimizer.lr = float(state["lr"])
+    spec = unpack_json(state["spec"])
     params = spec.get("params", [])
     if len(params) != len(optimizer.parameters):
         raise ValueError(
@@ -110,36 +111,6 @@ def _load_new_format(optimizer: Optimizer,
             buffer[...] = flat[offset:offset + size].reshape(buffer.shape)
 
 
-def _load_legacy_format(optimizer: Optimizer,
-                        state: dict[str, np.ndarray]) -> None:
-    """Restore pre-arena archives (enumerated per-parameter keys)."""
-    if isinstance(optimizer, Adam):
-        optimizer._step_count = int(state["step_count"])
-        for i in range(len(optimizer.parameters)):
-            optimizer._m[i][...] = state[f"m{i}"]
-            optimizer._v[i][...] = state[f"v{i}"]
-    elif isinstance(optimizer, SGD):
-        for i in range(len(optimizer.parameters)):
-            optimizer._velocity[i][...] = state[f"velocity{i}"]
-    # Older archives stored nothing beyond ``lr`` for other optimizers
-    # (their buffers were silently dropped at save time); only the
-    # learning rate can be restored for those.
-
-
-def load_optimizer_state(optimizer: Optimizer,
-                         state: dict[str, np.ndarray]) -> None:
-    """Restore buffers extracted by :func:`optimizer_state` (in place).
-
-    Accepts both the current arena-style format (flat buffers + ``spec``)
-    and the legacy enumerated ``m{i}``/``v{i}``/``velocity{i}`` layout.
-    """
-    optimizer.lr = float(state["lr"])
-    if "spec" in state:
-        _load_new_format(optimizer, state)
-    else:
-        _load_legacy_format(optimizer, state)
-
-
 def save_checkpoint(path: str | Path, model: Module,
                     optimizer: Optimizer | None = None,
                     metadata: dict | None = None) -> None:
@@ -156,24 +127,23 @@ def save_checkpoint(path: str | Path, model: Module,
     if optimizer is not None:
         for key, value in optimizer_state(optimizer).items():
             payload[f"optim/{key}"] = value
-    meta_blob = json.dumps(metadata or {}).encode()
-    payload["metadata"] = np.frombuffer(meta_blob, dtype=np.uint8)
-    np.savez(path, **payload)
-    get_bus().emit(CheckpointSaved(path=str(path), num_arrays=len(payload)))
+    write_archive(path, payload, metadata or {})
+    get_bus().emit(CheckpointSaved(path=str(path),
+                                   num_arrays=len(payload) + 1))  # + meta
 
 
 def load_checkpoint(path: str | Path, model: Module,
                     optimizer: Optimizer | None = None) -> dict:
     """Restore model (+ optional optimizer); returns the metadata dict."""
-    with np.load(path) as archive:
-        model_state = {key[len("model/"):]: archive[key]
-                       for key in archive.files if key.startswith("model/")}
-        model.load_state_dict(model_state)
-        if optimizer is not None:
-            optim_state = {key[len("optim/"):]: archive[key]
-                           for key in archive.files if key.startswith("optim/")}
-            if not optim_state:
-                raise KeyError("checkpoint contains no optimizer state")
-            load_optimizer_state(optimizer, optim_state)
-        metadata = json.loads(bytes(archive["metadata"]).decode())
+    arrays, metadata = read_archive(path)
+    model.load_state_dict({key[len("model/"):]: value
+                           for key, value in arrays.items()
+                           if key.startswith("model/")})
+    if optimizer is not None:
+        optim_state = {key[len("optim/"):]: value
+                       for key, value in arrays.items()
+                       if key.startswith("optim/")}
+        if not optim_state:
+            raise KeyError("checkpoint contains no optimizer state")
+        load_optimizer_state(optimizer, optim_state)
     return metadata

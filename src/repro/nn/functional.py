@@ -264,7 +264,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     The im2col index grids are cached per geometry, the three matrix
     contractions run on BLAS (:func:`repro.nn.kernels.conv_forward_contract`
     and friends), and the backward input scatter uses the vectorised
-    :func:`repro.nn.kernels.col2im` (strided slice adds / bincount) rather
+    :func:`repro.nn.kernels.col2im` (strided slice adds) rather
     than ``np.add.at``.
     """
     stride = (int(stride[0]), int(stride[1]))

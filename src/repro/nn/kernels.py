@@ -14,8 +14,7 @@ keeps that floor close to the numpy speed-of-light:
   maps to a strided, overlap-free view of the input, so the scatter is a
   handful of vectorised in-place adds.  The ``(1, k)`` stride-1 temporal
   kernels the TCN models use reduce to ``k`` shifted adds along the time
-  axis.  Kernels with very many taps switch to a single flat
-  ``np.bincount`` scatter instead.
+  axis.
 - :func:`col2im_reference` is the original ``np.add.at`` implementation,
   kept as the ground truth for the equivalence tests and as the baseline
   the kernel benchmarks measure speedups against.
@@ -45,10 +44,6 @@ __all__ = [
     "conv_forward_contract", "conv_weight_grad_contract",
     "conv_col_grad_contract",
 ]
-
-# Taps beyond this count make one flat bincount cheaper than per-tap adds.
-_BINCOUNT_TAP_THRESHOLD = 64
-
 
 # --------------------------------------------------------------------- #
 # im2col index grids (cached per geometry)
@@ -142,16 +137,13 @@ def col2im(g_cols: np.ndarray, shape: tuple[int, int, int, int],
     has ``shape = (B, C, H, W)``.  For any stride, the ``L`` output
     positions of one kernel tap land on *distinct* input cells, so the
     scatter decomposes into ``kh*kw`` overlap-free strided-slice adds — no
-    ``np.add.at``.  Degenerate many-tap kernels fall back to one flat
-    :func:`np.bincount` scatter.
+    ``np.add.at``.
     """
     batch, channels, height, width = shape
     kh, kw = kernel
     sh, sw = stride
     dh, dw = dilation
     out_h, out_w = _out_grid(height, width, kh, kw, stride, dilation)
-    if kh * kw > _BINCOUNT_TAP_THRESHOLD:
-        return _col2im_bincount(g_cols, shape, kernel, stride, dilation)
     g = g_cols.reshape(batch, channels, kh, kw, out_h, out_w)
     gx = np.zeros(shape, dtype=g_cols.dtype)
     for ki in range(kh):
@@ -161,22 +153,6 @@ def col2im(g_cols: np.ndarray, shape: tuple[int, int, int, int],
             col = dw * kj
             gx[:, :, row_slice, col:col + sw * out_w:sw] += g[:, :, ki, kj]
     return gx
-
-
-def _col2im_bincount(g_cols: np.ndarray, shape: tuple[int, int, int, int],
-                     kernel: tuple[int, int], stride: tuple[int, int],
-                     dilation: tuple[int, int]) -> np.ndarray:
-    """Flat ``np.bincount`` scatter — one pass regardless of tap count."""
-    batch, channels, height, width = shape
-    rows, cols, _, _ = col_indices(height, width, kernel, stride, dilation)
-    plane = height * width
-    spatial = (rows * width + cols).ravel()                 # (K*L,)
-    flat = g_cols.reshape(batch * channels, -1)
-    index = (np.arange(batch * channels)[:, None] * plane
-             + spatial[None, :]).ravel()
-    summed = np.bincount(index, weights=flat.ravel(),
-                         minlength=batch * channels * plane)
-    return summed.reshape(shape).astype(g_cols.dtype, copy=False)
 
 
 def col2im_reference(g_cols: np.ndarray, shape: tuple[int, int, int, int],

@@ -158,14 +158,6 @@ class Module:
                     module._buffers[buf_name][...] = state[key]
                     object.__setattr__(module, buf_name, module._buffers[buf_name])
 
-    def save(self, path: str) -> None:
-        """Persist the state dict to an ``.npz`` file."""
-        np.savez(path, **self.state_dict())
-
-    def load(self, path: str) -> None:
-        with np.load(path) as payload:
-            self.load_state_dict({k: payload[k] for k in payload.files})
-
     # ------------------------------------------------------------------ #
     # call protocol
     # ------------------------------------------------------------------ #

@@ -13,10 +13,10 @@ The CLI wrapper is ``repro trace export <trace.jsonl> --format chrome``.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..artifacts import write_json
 from .events import Event, SpanEvent, event_to_record
 
 __all__ = ["chrome_trace", "write_chrome_trace"]
@@ -93,7 +93,5 @@ def write_chrome_trace(source: str | Path | Iterable[Event],
     else:
         events = source
     payload = chrome_trace(events)
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    write_json(path, payload)
     return payload

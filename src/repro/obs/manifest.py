@@ -19,6 +19,8 @@ from typing import Any
 
 import numpy as np
 
+from ..artifacts import write_json
+
 __all__ = ["MANIFEST_SCHEMA_VERSION", "RunManifest", "build_manifest",
            "write_manifest", "read_manifest", "peak_rss_kb",
            "normalize_ru_maxrss"]
@@ -117,11 +119,8 @@ def build_manifest(model: str, dataset: str, seed: int, config: Any,
 
 def write_manifest(path: str | Path, manifest: RunManifest) -> Path:
     """Write ``manifest`` as pretty-printed JSON; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True)
-                    + "\n", encoding="utf-8")
-    return path
+    write_json(path, manifest.to_dict(), indent=2, sort_keys=True)
+    return Path(path)
 
 
 def read_manifest(path: str | Path) -> RunManifest:

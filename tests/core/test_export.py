@@ -14,7 +14,7 @@ def exported(tmp_path_factory, ci_dataset):
                          ci_dataset.adjacency, seed=0)
     train_model(model, ci_dataset,
                 TrainingConfig(epochs=1, max_batches_per_epoch=2))
-    path = tmp_path_factory.mktemp("export") / "predictions.npz"
+    path = tmp_path_factory.mktemp("export") / "predictions"   # as named
     export_predictions(model, ci_dataset, path)
     return path, model, ci_dataset
 

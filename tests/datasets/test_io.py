@@ -59,7 +59,7 @@ class TestRoundTrip:
                 == len(original.simulation.incident_log))
 
     def test_flow_dataset_roundtrip(self, tmp_path, ci_flow_dataset):
-        path = tmp_path / "flow.npz"
+        path = tmp_path / "flow"                # saved and loaded as named
         save_dataset(ci_flow_dataset, path)
         loaded = load_saved_dataset(path)
         assert loaded.spec.task == "flow"

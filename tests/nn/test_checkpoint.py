@@ -125,73 +125,6 @@ class TestRoundTripAllOptimizers:
             load_optimizer_state(smaller, state)
 
 
-class TestLegacyFormat:
-    """Pre-arena archives (enumerated ``m{i}``/``v{i}`` keys) still load."""
-
-    def test_adam_legacy_keys(self, batch):
-        model = Net()
-        optimizer = Adam(model.parameters(), lr=0.03)
-        train_steps(model, optimizer, *batch, steps=3)
-        legacy = {"lr": np.asarray(optimizer.lr),
-                  "step_count": np.asarray(optimizer._step_count)}
-        for i, (m, v) in enumerate(zip(optimizer._m, optimizer._v)):
-            legacy[f"m{i}"] = m.copy()
-            legacy[f"v{i}"] = v.copy()
-
-        clone = Adam(Net().parameters(), lr=0.9)
-        load_optimizer_state(clone, legacy)
-        assert clone.lr == 0.03
-        assert clone._step_count == optimizer._step_count
-        for m1, m2 in zip(optimizer._m, clone._m):
-            np.testing.assert_array_equal(m1, m2)
-        for v1, v2 in zip(optimizer._v, clone._v):
-            np.testing.assert_array_equal(v1, v2)
-
-    def test_sgd_legacy_keys(self, batch):
-        model = Net()
-        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
-        train_steps(model, optimizer, *batch, steps=2)
-        legacy = {"lr": np.asarray(optimizer.lr)}
-        for i, velocity in enumerate(optimizer._velocity):
-            legacy[f"velocity{i}"] = velocity.copy()
-
-        clone = SGD(Net().parameters(), lr=0.9, momentum=0.9)
-        load_optimizer_state(clone, legacy)
-        assert clone.lr == 0.05
-        for v1, v2 in zip(optimizer._velocity, clone._velocity):
-            np.testing.assert_array_equal(v1, v2)
-
-    def test_legacy_resume_matches_uninterrupted(self, batch, tmp_path):
-        """A legacy-layout archive resumes training identically."""
-        x, y = batch
-        reference = Net()
-        ref_optimizer = Adam(reference.parameters(), lr=0.05)
-        train_steps(reference, ref_optimizer, x, y, steps=6)
-
-        model = Net()
-        optimizer = Adam(model.parameters(), lr=0.05)
-        train_steps(model, optimizer, x, y, steps=3)
-        legacy = {"optim/lr": np.asarray(optimizer.lr),
-                  "optim/step_count": np.asarray(optimizer._step_count)}
-        for i, (m, v) in enumerate(zip(optimizer._m, optimizer._v)):
-            legacy[f"optim/m{i}"] = m.copy()
-            legacy[f"optim/v{i}"] = v.copy()
-        for key, value in model.state_dict().items():
-            legacy[f"model/{key}"] = value
-        import json
-        legacy["metadata"] = np.frombuffer(json.dumps({}).encode(),
-                                           dtype=np.uint8)
-        path = tmp_path / "legacy.npz"
-        np.savez(path, **legacy)
-
-        resumed = Net(seed=42)
-        resumed_optimizer = Adam(resumed.parameters(), lr=0.05)
-        load_checkpoint(path, resumed, resumed_optimizer)
-        train_steps(resumed, resumed_optimizer, x, y, steps=3)
-        np.testing.assert_allclose(resumed.fc1.weight.data,
-                                   reference.fc1.weight.data, atol=1e-12)
-
-
 class TestCheckpoint:
     def test_resume_reproduces_uninterrupted_training(self, batch, tmp_path):
         """train 6 steps == train 3, checkpoint, restore, train 3 more."""
@@ -217,7 +150,7 @@ class TestCheckpoint:
 
     def test_model_only_checkpoint(self, batch, tmp_path):
         model = Net()
-        path = tmp_path / "model.npz"
+        path = tmp_path / "model"               # saved and loaded as named
         save_checkpoint(path, model)
         clone = Net(seed=9)
         metadata = load_checkpoint(path, clone)
@@ -254,9 +187,8 @@ class TestCheckpointTelemetry:
             save_checkpoint(path, model, optimizer, metadata={"epoch": 1})
         (event,) = sink.of_kind("checkpoint_saved")
         assert event.path == str(path)
-        # 4 model arrays + lr/step/2*(m,v) optimizer arrays + metadata blob
-        with np.load(path.with_suffix(".npz") if path.suffix != ".npz"
-                     else path) as archive:
+        # 4 model arrays + lr/spec/step/m/v optimizer arrays + meta blob
+        with np.load(path) as archive:
             assert event.num_arrays == len(archive.files)
 
     def test_save_without_listeners_is_silent(self, tmp_path, capsys):

@@ -6,8 +6,7 @@ cached im2col indices, the BLAS conv contractions, the basic-index
 views — must produce gradients identical (≤1e-8) to the original
 ``np.add.at`` engine, which stays available behind
 ``repro.reference.reference_mode("kernels")``.  The suite sweeps strided,
-dilated, padded, and tie (overlapping-tap) geometries, plus the bincount
-fallback for many-tap kernels.
+dilated, padded, and tie (overlapping-tap) geometries.
 """
 
 import numpy as np
@@ -83,17 +82,6 @@ class TestCol2imEquivalence:
                                   out_h * out_w))
         fast = K.col2im(g_cols, shape, kernel, stride, dilation)
         ref = K.col2im_reference(g_cols, shape, kernel, stride, dilation)
-        assert np.abs(fast - ref).max() <= TOL
-
-    def test_bincount_path_matches_reference(self, rng, monkeypatch):
-        """Kernels with more taps than the threshold take the flat
-        bincount scatter; force it and compare."""
-        monkeypatch.setattr(K, "_BINCOUNT_TAP_THRESHOLD", 3)
-        shape, kernel = (2, 2, 8, 8), (3, 3)
-        rows, cols, out_h, out_w = K.col_indices(8, 8, kernel, (1, 1), (1, 1))
-        g_cols = rng.normal(size=(2, 2, 9, out_h * out_w))
-        fast = K.col2im(g_cols, shape, kernel)
-        ref = K.col2im_reference(g_cols, shape, kernel)
         assert np.abs(fast - ref).max() <= TOL
 
     def test_index_cache_hits(self):

@@ -230,6 +230,17 @@ class TestCacheCommands:
         assert payload["spec"]["name"] == "pemsd8"
         assert "speed" in payload["arrays"]
 
+    def test_info_ambiguous_prefix(self, capsys, cache_dir):
+        from repro.datasets import DatasetCache, load_dataset
+        for seed_offset in (0, 1):
+            load_dataset("metr-la", scale="ci", seed_offset=seed_offset)
+        first, second = (entry.key for entry in DatasetCache().entries())
+        assert main(["cache", "info", "metr"]) == 1
+        err = capsys.readouterr().err
+        assert first in err and second in err
+        assert main(["cache", "info", second[:8]]) == 0
+        assert json.loads(capsys.readouterr().out)["key"] == second
+
     def test_info_unknown_key(self, capsys, cache_dir):
         assert main(["cache", "info", "feedfacefeedface"]) == 1
         assert "no cache entry" in capsys.readouterr().err

@@ -248,7 +248,7 @@ class TestScheduleAndPatience:
 class TestCheckpointResume:
     def test_resume_continues_epochs_and_schedule(self, ci_dataset,
                                                   tmp_path):
-        path = tmp_path / "run.npz"
+        path = tmp_path / "run"                 # saved and resumed as named
         full = TrainingConfig(epochs=4, max_batches_per_epoch=2,
                               learning_rate=0.1, lr_schedule="exponential")
         half = dataclasses.replace(full, epochs=2)
@@ -272,7 +272,7 @@ class TestCheckpointResume:
                                                          rel=1e-12)
 
     def test_checkpoint_every_n_epochs(self, ci_dataset, tmp_path):
-        path = tmp_path / "run.npz"
+        path = tmp_path / "run"
         config = TrainingConfig(epochs=3, max_batches_per_epoch=1)
         sink = MemorySink()
         callbacks = default_callbacks(config) + [
@@ -281,6 +281,7 @@ class TestCheckpointResume:
             linear(ci_dataset), ci_dataset, seed=0, bus=EventBus([sink]))
         saves = sink.of_kind("checkpoint_saved")
         assert len(saves) == 1                  # only epoch 2 qualifies
+        assert saves[0].path == str(path) and path.exists()
         assert _peek_metadata(path, linear(ci_dataset))["epoch"] == 2
 
 
